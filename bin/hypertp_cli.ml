@@ -142,20 +142,31 @@ let obs_of_paths trace_out metrics_out =
   ( Option.map (fun _ -> Obs.Tracer.create ()) trace_out,
     Option.map (fun _ -> Obs.Metrics.create ()) metrics_out )
 
-let write_obs trace_out metrics_out obs metrics =
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
+(* Read and decode a [--resume-from] artifact.  A missing or unreadable
+   file ends the command like a parse error: [cannot resume: ...], exit 1. *)
+let load_artifact decode path =
+  let loaded =
+    try decode (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error e -> Error e
   in
+  match loaded with
+  | Ok v -> v
+  | Error e ->
+    Format.eprintf "cannot resume: %s@." e;
+    exit 1
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+let write_obs trace_out metrics_out obs metrics =
   (match (trace_out, obs) with
   | Some path, Some tr ->
-    write path (Obs.Export.chrome_trace tr);
+    write_file path (Obs.Export.chrome_trace tr);
     Format.printf "trace (%d spans) written to %s@." (Obs.Tracer.count tr) path
   | _ -> ());
   match (metrics_out, metrics) with
   | Some path, Some m ->
-    write path (Obs.Export.open_metrics m);
+    write_file path (Obs.Export.open_metrics m);
     Format.printf "metrics written to %s@." path
   | _ -> ()
 
@@ -372,9 +383,7 @@ let audit_cmd =
       Hypertp.Inplace.pp_outcome report.Hypertp.Inplace.outcome;
     (match out with
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Audit.to_string a);
-      close_out oc;
+      write_file path (Audit.to_string a);
       Format.printf "report written to %s@." path
     | None -> ());
     print_fault_trace fault;
@@ -802,9 +811,7 @@ let campaign_cmd =
       match journal_file with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (Cluster.Campaign.journal_to_string j);
-        close_out oc;
+        write_file path (Cluster.Campaign.journal_to_string j);
         Format.printf "journal (%d entries) written to %s@."
           (Cluster.Campaign.journal_length j) path
     in
@@ -824,9 +831,7 @@ let campaign_cmd =
       (match journal_file with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (Cluster.Campaign.fleet_journals_to_string fr);
-        close_out oc;
+        write_file path (Cluster.Campaign.fleet_journals_to_string fr);
         Format.printf "fleet journals written to %s@." path)
     | None -> (
       if shard_mode <> None then begin
@@ -861,15 +866,8 @@ let campaign_cmd =
       let result =
         match resume_from with
         | Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let raw = really_input_string ic len in
-          close_in ic;
-          (match Cluster.Campaign.journal_of_string raw with
-          | Ok j -> Cluster.Campaign.resume ?fault ?obs ?metrics j
-          | Error e ->
-            Format.eprintf "cannot resume: %s@." e;
-            exit 1)
+          Cluster.Campaign.resume ?fault ?obs ?metrics
+            (load_artifact Cluster.Campaign.journal_of_string path)
         | None -> Cluster.Campaign.run ?fault ?obs ?metrics config
       in
       match result with
@@ -1024,24 +1022,14 @@ let controlplane_cmd =
       match bundle_file with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (CP.bundle_to_string b);
-        close_out oc;
+        write_file path (CP.bundle_to_string b);
         Format.printf "bundle (%d entries across %d regions) written to %s@."
           (CP.bundle_length b) (CP.bundle_config b).CP.regions path
     in
     let result =
       match resume_from with
       | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let raw = really_input_string ic len in
-        close_in ic;
-        (match CP.bundle_of_string raw with
-        | Ok b -> CP.resume ?fault ?obs ?metrics b
-        | Error e ->
-          Format.eprintf "cannot resume: %s@." e;
-          exit 1)
+        CP.resume ?fault ?obs ?metrics (load_artifact CP.bundle_of_string path)
       | None -> CP.run ?fault ?obs ?metrics config
     in
     match result with
@@ -1202,24 +1190,14 @@ let serve_cmd =
       match journal_file with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (S.journal_to_string j);
-        close_out oc;
+        write_file path (S.journal_to_string j);
         Format.printf "journal (%d entries) written to %s@."
           (S.journal_length j) path
     in
     let result =
       match resume_from with
       | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let raw = really_input_string ic len in
-        close_in ic;
-        (match S.journal_of_string raw with
-        | Ok j -> S.resume ?fault ?obs ?metrics j
-        | Error e ->
-          Format.eprintf "cannot resume: %s@." e;
-          exit 1)
+        S.resume ?fault ?obs ?metrics (load_artifact S.journal_of_string path)
       | None -> S.run ?fault ?obs ?metrics config
     in
     match result with

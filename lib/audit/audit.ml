@@ -139,108 +139,57 @@ let to_string r =
   Printf.bprintf b "end findings=%d\n" (List.length r.r_findings);
   Buffer.contents b
 
-let split_kv tok =
-  match String.index_opt tok '=' with
-  | None -> (tok, "")
-  | Some i ->
-    (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-
 let of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.split_on_char '\n' s with
-  | m :: header :: rest when String.equal m magic -> (
-    let assoc line =
-      List.map split_kv (String.split_on_char ' ' line)
-    in
-    let req kvs key =
-      match List.assoc_opt key kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing %s" key)
-    in
-    let ( let* ) = Result.bind in
-    let* src = req (assoc header) "source" in
-    let* tgt = req (assoc header) "target" in
-    let* swept = req (assoc header) "frames_swept" in
-    let* guest = req (assoc header) "guest_frames" in
-    let* swept =
-      Option.to_result ~none:"bad frames_swept" (int_of_string_opt swept)
-    in
-    let* guest =
-      Option.to_result ~none:"bad guest_frames" (int_of_string_opt guest)
-    in
-    let parse_finding line =
-      (* the reason is free text: split it off before tokenizing *)
-      let body, reason =
-        match
-          (* find " reason=" *)
-          let needle = " reason=" in
-          let nl = String.length needle in
-          let rec search i =
-            if i + nl > String.length line then None
-            else if String.sub line i nl = needle then Some i
-            else search (i + 1)
-          in
-          search 0
-        with
-        | Some i ->
-          ( String.sub line 0 i,
-            String.sub line (i + 8) (String.length line - i - 8) )
-        | None -> (line, "")
+  let module L = Sim.Lines in
+  L.decode ~magic ~what:"audit report"
+    (fun lines ->
+      let finding l =
+        (* The reason is free text: split it off before tokenising. *)
+        let text = L.text l in
+        let needle = " reason=" in
+        let nl = String.length needle in
+        let rec search i =
+          if i + nl > String.length text then None
+          else if String.sub text i nl = needle then Some i
+          else search (i + 1)
+        in
+        let body, f_reason =
+          match search 0 with
+          | Some i ->
+            ( String.sub text 0 i,
+              String.sub text (i + nl) (String.length text - i - nl) )
+          | None -> (text, "")
+        in
+        let b = L.make ~no:(L.number l) body in
+        { f_kind = L.conv b "kind" kind_of_string;
+          f_severity = L.conv b "severity" severity_of_string;
+          f_subject = L.str b "subject";
+          f_frame = Option.map (fun _ -> L.int b "frame") (L.opt b "frame");
+          f_tag = Option.map (fun _ -> L.int64 b "tag") (L.opt b "tag");
+          f_reason }
       in
-      let kvs = assoc body in
-      let* kind_s = req kvs "kind" in
-      let* sev_s = req kvs "severity" in
-      let* subject = req kvs "subject" in
-      let* f_kind =
-        Option.to_result ~none:("bad kind " ^ kind_s) (kind_of_string kind_s)
+      let rec findings acc = function
+        | [] -> raise (L.Malformed "missing end line")
+        | l :: rest -> (
+          match L.words l with
+          | "finding" :: _ -> findings (finding l :: acc) rest
+          | "end" :: _ ->
+            let n = L.int l "findings" in
+            if n <> List.length acc then
+              L.fail l "finding count mismatch: end says %d, parsed %d" n
+                (List.length acc);
+            List.rev acc
+          | _ -> L.fail l "unexpected line %S" (L.text l))
       in
-      let* f_severity =
-        Option.to_result
-          ~none:("bad severity " ^ sev_s)
-          (severity_of_string sev_s)
-      in
-      let* f_frame =
-        match List.assoc_opt "frame" kvs with
-        | None -> Ok None
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (Some n)
-          | None -> Error ("bad frame " ^ v))
-      in
-      let* f_tag =
-        match List.assoc_opt "tag" kvs with
-        | None -> Ok None
-        | Some v -> (
-          match Int64.of_string_opt v with
-          | Some t -> Ok (Some t)
-          | None -> Error ("bad tag " ^ v))
-      in
-      Ok { f_kind; f_severity; f_subject = subject; f_frame; f_tag;
-           f_reason = reason }
-    in
-    let rec go acc = function
-      | [] | [ "" ] -> fail "missing end line"
-      | line :: rest when String.length line >= 8
-                          && String.sub line 0 8 = "finding " -> (
-        match parse_finding (String.sub line 8 (String.length line - 8)) with
-        | Ok f -> go (f :: acc) rest
-        | Error e -> Error e)
-      | line :: _ when String.length line >= 4 && String.sub line 0 4 = "end "
-        -> (
-        let kvs = assoc line in
-        let* n = req kvs "findings" in
-        match int_of_string_opt n with
-        | Some n when n = List.length acc -> Ok (List.rev acc)
-        | Some n ->
-          fail "finding count mismatch: end says %d, parsed %d" n
-            (List.length acc)
-        | None -> fail "bad end line %S" line)
-      | line :: _ -> fail "unexpected line %S" line
-    in
-    let* findings = go [] rest in
-    Ok { r_source = src; r_target = tgt; r_frames_swept = swept;
-         r_guest_frames = guest; r_findings = findings })
-  | _ -> fail "not an audit report (missing %S)" magic
+      match lines with
+      | [] -> raise (L.Malformed "missing header line")
+      | h :: rest ->
+        { r_source = L.str h "source";
+          r_target = L.str h "target";
+          r_frames_swept = L.int h "frames_swept";
+          r_guest_frames = L.int h "guest_frames";
+          r_findings = findings [] rest })
+    s
 
 (* --- reference worlds --- *)
 

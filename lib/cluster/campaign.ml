@@ -1,3 +1,5 @@
+module K = Campaign_kernel
+
 type config = {
   nodes : int;
   vms_per_node : int;
@@ -37,7 +39,7 @@ let default_config =
 
 type ladder_step = Inplace | Shadow | Drain | Retry
 
-type manifestation = Crash | Timeout | Flap
+type manifestation = K.manifestation = Crash | Timeout | Flap
 
 type event =
   | Admitted of ladder_step
@@ -99,51 +101,38 @@ let vms_accounted r =
   r.vms_inplace_ok + r.vms_shadow + r.vms_drained + r.vms_on_deferred
   + r.vms_migrated_planned
 
-(* Manifestation timing, as fractions of the attempt's expected duration.
-   The cost order timeout > flap > crash is what makes the governing
-   manifestation the costliest one: the straggler deadline is at least
-   [1.2 x expected] (validated), the second flap leg fails at 1.1x, a
-   plain crash at 0.5x, and a jittered success lands within 1.1x. *)
-let crash_frac = 0.5
-let flap_leg1_frac = 0.55
-let flap_final_frac = 1.10
-let drain_fail_frac = 0.6
+(* Timing of the rungs only this ladder has; the shared ones live in
+   [Campaign_kernel]. *)
 let retry_fail_frac = 0.5
 let shadow_fail_frac = 0.6
 
-let min_straggler_factor = 1.2
-let max_jitter_pct = 0.1
+let max_nodes = 1_000_000
+let max_vms = 10_000_000
 
 let validate_config cfg =
   let bad msg = Hypertp_error.raise_error ~site:"Campaign" msg in
   if cfg.nodes < 2 then bad "need at least 2 nodes";
+  if cfg.nodes > max_nodes then
+    Hypertp_error.raise_errorf ~site:"Campaign"
+      "nodes %d above the bound of %d per campaign (shard larger fleets \
+       with run_fleet)"
+      cfg.nodes max_nodes;
   if cfg.vms_per_node < 1 then bad "vms_per_node must be at least 1";
+  if cfg.vms_per_node > max_vms / cfg.nodes then
+    Hypertp_error.raise_errorf ~site:"Campaign"
+      "nodes x vms_per_node (%d x %d) above the bound of %d VMs" cfg.nodes
+      cfg.vms_per_node max_vms;
+  if cfg.vm_ram < 1 || cfg.node_ram < 1 then
+    bad "vm_ram and node_ram must be positive";
   if cfg.inplace_fraction < 0.0 || cfg.inplace_fraction > 1.0 then
     bad "inplace_fraction outside [0, 1]";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
-  if cfg.straggler_factor < min_straggler_factor then
-    bad "straggler_factor below 1.2 (deadline must dominate a flap)";
-  if cfg.breaker_window < 1 then bad "breaker_window must be at least 1";
-  if cfg.breaker_window > 62 then
-    bad "breaker_window above 62 (outcomes are tracked in one word)";
-  if cfg.breaker_threshold < 0.0 || cfg.breaker_threshold > 1.0 then
-    bad "breaker_threshold outside [0, 1]";
-  if cfg.jitter_pct < 0.0 || cfg.jitter_pct > max_jitter_pct then
-    bad "jitter_pct outside [0, 0.1] (success must beat the deadline)";
-  if cfg.drain_flakiness < 0.0 || cfg.drain_flakiness > 1.0 then
-    bad "drain_flakiness outside [0, 1]";
+  K.validate ~site:"Campaign" ~straggler_factor:cfg.straggler_factor
+    ~breaker_window:cfg.breaker_window ~breaker_threshold:cfg.breaker_threshold
+    ~jitter_pct:cfg.jitter_pct ~drain_flakiness:cfg.drain_flakiness;
   if cfg.retry_flakiness < 0.0 || cfg.retry_flakiness > 1.0 then
     bad "retry_flakiness outside [0, 1]";
   if cfg.shadow_spares < 0 then bad "shadow_spares must be non-negative"
-
-(* --- derived per-host randomness, independent of the fault plan --- *)
-
-let derived cfg salt node =
-  Sim.Rng.create
-    (Int64.logxor cfg.seed (Int64.of_int (Hashtbl.hash (salt, node))))
-
-let coin cfg salt node p = Sim.Rng.float (derived cfg salt node) 1.0 < p
-let host_jitter cfg node = Sim.Rng.jitter (derived cfg "jitter" node) cfg.jitter_pct
 
 (* --- host tasks, derived once from the BtrPlace plan --- *)
 
@@ -272,7 +261,7 @@ let build_setup cfg =
 
 (* --- journal --- *)
 
-type decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
+type decision = K.decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
 
 (* Fault-plan decisions for a shadow admission, one per shadow site, in
    the fixed consultation order (spare, stage, drop, diverge,
@@ -471,24 +460,13 @@ type hstate =
   | H_awaiting_retry
   | H_done of host_status * Sim.Time.t
 
-type breaker = B_closed | B_open_until of Sim.Time.t | B_half_open
-
 type st = {
   cfg : config;
   setup : setup;
   hstates : hstate array;
   manifests : manifestation list array; (* newest first *)
   attempts : int array;
-  mutable breaker : breaker;
-  (* Breaker outcome window, newest outcome in bit 0, [window_len]
-     (<= breaker_window <= 62, validated) live bits.  Replaces the
-     [bool list] + [take] pair, which allocated a fresh list on every
-     attempt outcome. *)
-  mutable window_bits : int;
-  mutable window_len : int;
-  mutable half_successes : int;
-  mutable half_failed : bool;
-  mutable trips : int;
+  breaker : K.breaker;
   mutable limit : int;
   mutable running : int;
   mutable finished_at : Sim.Time.t option;
@@ -538,12 +516,9 @@ let make_st ?fault ?obs ?metrics cfg setup =
     hstates = Array.make n H_pending;
     manifests = Array.make n [];
     attempts = Array.make n 0;
-    breaker = B_closed;
-    window_bits = 0;
-    window_len = 0;
-    half_successes = 0;
-    half_failed = false;
-    trips = 0;
+    breaker =
+      K.breaker ~window:cfg.breaker_window ~threshold:cfg.breaker_threshold
+        ~cooldown:cfg.breaker_cooldown;
     limit = setup.su_effective;
     running = 0;
     finished_at = None;
@@ -585,27 +560,6 @@ let idx st host =
 
 let hours t = Sim.Time.to_sec_f t /. 3600.0
 
-let push_window st ok =
-  (match st.breaker with
-  | B_half_open ->
-    if ok then st.half_successes <- st.half_successes + 1
-    else begin
-      st.half_successes <- 0;
-      st.half_failed <- true
-    end
-  | B_closed | B_open_until _ -> ());
-  st.window_bits <-
-    ((st.window_bits lsl 1) lor Bool.to_int ok)
-    land ((1 lsl st.cfg.breaker_window) - 1);
-  st.window_len <- Stdlib.min (st.window_len + 1) st.cfg.breaker_window
-
-(* Failures in the window = live bits that are 0. *)
-let window_fails st =
-  let rec pop acc bits =
-    if bits = 0 then acc else pop (acc + (bits land 1)) (bits lsr 1)
-  in
-  st.window_len - pop 0 st.window_bits
-
 let resolve_failure st i manifestation at =
   st.running <- st.running - 1;
   st.manifests.(i) <- manifestation :: st.manifests.(i);
@@ -615,18 +569,18 @@ let resolve_failure st i manifestation at =
     | Inplace ->
       st.hstates.(i) <- H_failed_needs_drain;
       st.needs_drain <- i :: st.needs_drain;
-      push_window st false
+      K.record st.breaker false
     | Shadow ->
       (* Degradation ladder: the staged spare is torn down (the lane
          returns) and the host falls through to the classic drain. *)
       st.spares_free <- st.spares_free + 1;
       st.hstates.(i) <- H_failed_needs_drain;
       st.needs_drain <- i :: st.needs_drain;
-      push_window st false
+      K.record st.breaker false
     | Drain ->
       st.hstates.(i) <- H_failed_needs_defer;
       st.needs_defer <- i :: st.needs_defer;
-      push_window st false
+      K.record st.breaker false
     | Retry ->
       st.hstates.(i) <- H_done (Deferred_exposed, at);
       st.n_done <- st.n_done + 1;
@@ -641,18 +595,13 @@ let step_to_string = function
   | Drain -> "drain"
   | Retry -> "retry"
 
-let man_to_string = function
-  | Crash -> "crash"
-  | Timeout -> "timeout"
-  | Flap -> "flap"
-
 let pp_event fmt = function
   | Admitted step -> Format.fprintf fmt "admitted(%s)" (step_to_string step)
   | Flap_failure -> Format.pp_print_string fmt "flap-leg (failed, recovered)"
   | Straggler_cancelled -> Format.pp_print_string fmt "straggler-cancelled"
   | Attempt_failed { step; manifestation } ->
     Format.fprintf fmt "failed(%s, %s)" (step_to_string step)
-      (man_to_string manifestation)
+      (K.man_to_string manifestation)
   | Attempt_completed step ->
     Format.fprintf fmt "completed(%s)" (step_to_string step)
   | Deferred -> Format.pp_print_string fmt "deferred"
@@ -707,11 +656,11 @@ let observe st e =
   | Attempt_failed { step; manifestation }, Some h ->
     close (idx st h)
       [ ("result", "failed"); ("step", step_to_string step);
-        ("manifestation", man_to_string manifestation) ];
+        ("manifestation", K.man_to_string manifestation) ];
     Hypertp.Otrace.count metrics
       ~labels:
         [ ("engine", "campaign");
-          ("manifestation", man_to_string manifestation) ]
+          ("manifestation", K.man_to_string manifestation) ]
       "hypertp_campaign_failures_total"
   | Attempt_completed step, Some h ->
     close (idx st h)
@@ -824,26 +773,19 @@ let apply_state st e =
     | Retry -> st.hstates.(i) <- H_done (Deferred_resolved, e.je_at));
     st.n_done <- st.n_done + 1;
     st.exposure_acc <- st.exposure_acc +. hours e.je_at;
-    if step <> Retry then push_window st true
+    if step <> Retry then K.record st.breaker true
   | Deferred, Some h ->
     let i = idx st h in
     (match st.hstates.(i) with
     | H_failed_needs_defer -> st.hstates.(i) <- H_awaiting_retry
     | _ ->
       Hypertp_error.raise_error ~site:"Campaign" "defer out of ladder order")
-  | Breaker_opened, None ->
-    st.trips <- st.trips + 1;
-    st.breaker <- B_open_until (Sim.Time.add e.je_at st.cfg.breaker_cooldown);
-    st.window_bits <- 0;
-    st.window_len <- 0;
-    st.half_failed <- false
+  | Breaker_opened, None -> K.trip st.breaker ~at:e.je_at
   | Breaker_half_opened, None ->
-    st.breaker <- B_half_open;
-    st.half_successes <- 0;
-    st.half_failed <- false;
+    K.half_open st.breaker;
     st.limit <- Stdlib.max 1 (st.setup.su_effective / 2)
   | Breaker_closed, None ->
-    st.breaker <- B_closed;
+    K.close st.breaker;
     st.limit <- st.setup.su_effective
   | Campaign_finished, None -> st.finished_at <- Some e.je_at
   | _ -> Hypertp_error.raise_error ~site:"Campaign" "malformed journal entry"
@@ -868,31 +810,34 @@ let cursor st =
 let fire_opt st ?vm site =
   match st.fault with None -> false | Some f -> Fault.fire f ?vm site
 
-(* The audit sites are only consulted when the plan arms them: firing
-   them unconditionally would shift the fault cursor of every journal
-   recorded before the audit existed. *)
-let audit_armed st =
+(* The audit and shadow sites are only consulted when the plan arms
+   them: firing them unconditionally would shift the fault cursor of
+   every journal recorded before the audit or the shadow ladder
+   existed. *)
+let armed st sites =
   match st.fault with
   | None -> false
   | Some f ->
     List.exists
-      (fun (inj : Fault.injection) ->
-        match inj.Fault.site with
-        | Fault.Residual_leak | Fault.Scrub_fail -> true
-        | _ -> false)
+      (fun (inj : Fault.injection) -> List.mem inj.Fault.site sites)
       (Fault.injections f)
 
-(* Same armed-only discipline for the shadow sites: journals recorded
-   before the shadow ladder existed (or under shadow-free plans) keep
-   their fault cursors bit-for-bit. *)
-let shadow_armed st =
-  match st.fault with
-  | None -> false
-  | Some f ->
-    List.exists
-      (fun (inj : Fault.injection) ->
-        List.mem inj.Fault.site Fault.shadow_sites)
-      (Fault.injections f)
+(* All five shadow sites, in a fixed order, for the same
+   stream-alignment reason as the in-place decision. *)
+let shadow_decide st ~host =
+  let s_spare = fire_opt st ~vm:host Fault.Spare_exhausted in
+  let s_stage = fire_opt st ~vm:host Fault.Shadow_stage_fail in
+  let s_drop = fire_opt st ~vm:host Fault.Shadow_stream_drop in
+  let s_diverge = fire_opt st ~vm:host Fault.Shadow_diverge in
+  let s_partition = fire_opt st ~vm:host Fault.Swap_partition in
+  { s_spare; s_stage; s_drop; s_diverge; s_partition }
+
+(* Both audit sites are consulted in a fixed order even when the first
+   misses, for the same stream-alignment reason. *)
+let audit_decide st ~host =
+  let leak = fire_opt st ~vm:host Fault.Residual_leak in
+  let scrub_failed = fire_opt st ~vm:host Fault.Scrub_fail in
+  if not leak then A_clean else if scrub_failed then A_failed else A_scrubbed
 
 (* Journal-then-crash: the entry is applied and persisted first, and
    only then may the controller die, so a resumed run never loses the
@@ -968,24 +913,15 @@ let rec settle ctx =
         append st ~host:st.setup.su_tasks.(i).t_node ~at Deferred)
     deferrable;
   (* 3. Breaker transitions. *)
-  (match st.breaker with
-  | B_closed | B_half_open ->
-    let fails = window_fails st in
-    let rate = float_of_int fails /. float_of_int st.cfg.breaker_window in
-    if
-      (st.breaker = B_half_open && st.half_failed)
-      || (fails > 0 && rate >= st.cfg.breaker_threshold)
-    then begin
-      append st ~at Breaker_opened;
-      match st.breaker with
-      | B_open_until u ->
-        Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
-      | B_closed | B_half_open -> ()
-    end
-    else if st.breaker = B_half_open
-            && st.half_successes >= st.cfg.breaker_window
-    then append st ~at Breaker_closed
-  | B_open_until _ -> ());
+  (match K.verdict st.breaker with
+  | K.Trip -> (
+    append st ~at Breaker_opened;
+    match K.state st.breaker with
+    | K.B_open_until u ->
+      Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
+    | K.B_closed | K.B_half_open -> ())
+  | K.Close -> append st ~at Breaker_closed
+  | K.Hold -> ());
   (* 4. Admission: fill free slots with pending hosts, lowest index
      first, unless the breaker is open.  [next_pending] lazily skips
      past hosts that left [H_pending]; it never needs to back up, so
@@ -998,9 +934,9 @@ let rec settle ctx =
       st.next_pending <- st.next_pending + 1
     done
   in
-  (match st.breaker with
-  | B_open_until _ -> ()
-  | B_closed | B_half_open ->
+  (match K.state st.breaker with
+  | K.B_open_until _ -> ()
+  | K.B_closed | K.B_half_open ->
     skip_admitted ();
     while st.next_pending < n && st.running < st.limit do
       admit ctx st.next_pending Inplace;
@@ -1027,10 +963,10 @@ let rec settle ctx =
 
 and reopen ctx =
   let st = ctx.st in
-  (match st.breaker with
-  | B_open_until _ ->
+  (match K.state st.breaker with
+  | K.B_open_until _ ->
     append st ~at:(Sim.Engine.now ctx.eng) Breaker_half_opened
-  | B_closed | B_half_open -> ());
+  | K.B_closed | K.B_half_open -> ());
   settle ctx
 
 and admit ctx i step =
@@ -1039,27 +975,13 @@ and admit ctx i step =
   let t = st.setup.su_tasks.(i) in
   let decision =
     match step with
-    | Inplace ->
-      (* Always consult all three sites, in a fixed order, so the
-         probability stream stays aligned across fault plans (the
-         sweep_faulty nesting property). *)
-      let d_flap = fire_opt st ~vm:t.t_node Fault.Host_flap in
-      let d_crash = fire_opt st ~vm:t.t_node Fault.Host_crash in
-      let d_timeout = fire_opt st ~vm:t.t_node Fault.Host_timeout in
-      Some { d_flap; d_crash; d_timeout }
+    | Inplace -> K.decide st.fault ~host:t.t_node
     | Shadow | Drain | Retry -> None
   in
   let shadow =
     match step with
-    | Shadow when shadow_armed st ->
-      (* All five shadow sites, in a fixed order, for the same
-         stream-alignment reason as the in-place decision. *)
-      let s_spare = fire_opt st ~vm:t.t_node Fault.Spare_exhausted in
-      let s_stage = fire_opt st ~vm:t.t_node Fault.Shadow_stage_fail in
-      let s_drop = fire_opt st ~vm:t.t_node Fault.Shadow_stream_drop in
-      let s_diverge = fire_opt st ~vm:t.t_node Fault.Shadow_diverge in
-      let s_partition = fire_opt st ~vm:t.t_node Fault.Swap_partition in
-      Some { s_spare; s_stage; s_drop; s_diverge; s_partition }
+    | Shadow when armed st Fault.shadow_sites ->
+      Some (shadow_decide st ~host:t.t_node)
     | _ -> None
   in
   append st ~host:t.t_node ?decision ?shadow ~at (Admitted step);
@@ -1086,28 +1008,17 @@ and schedule_attempt ctx i =
       (* The supervisor's deadline races the attempt; whichever loses is
          cancelled. *)
       arm ctx i (from_start t.t_deadline) (fun () -> on_deadline ctx i);
-      if d.d_timeout then
-        (* Hung host: nothing else ever fires; the deadline wins. *)
-        ()
-      else if d.d_flap then begin
-        if not r.r_flapped then
-          arm ctx i
-            (from_start (Sim.Time.scale flap_leg1_frac t.t_expected))
-            (fun () -> on_flap_leg ctx i)
-        else
-          arm ctx i
-            (from_start (Sim.Time.scale flap_final_frac t.t_expected))
-            (fun () -> on_fail ctx i Flap)
-      end
-      else if d.d_crash then
-        arm ctx i
-          (from_start (Sim.Time.scale crash_frac t.t_expected))
-          (fun () -> on_fail ctx i Crash)
-      else
-        arm ctx i
-          (from_start
-             (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_expected))
-          (fun () -> on_complete ctx i Inplace)
+      let next = K.inplace_next d ~flapped:r.r_flapped in
+      let at =
+        from_start
+          (K.inplace_offset ~seed:st.cfg.seed ~jitter_pct:st.cfg.jitter_pct
+             ~host:t.t_node ~expected:t.t_expected ~deadline:t.t_deadline next)
+      in
+      (match next with
+      | K.Deadline -> ()
+      | K.Flap_leg -> arm ctx i at (fun () -> on_flap_leg ctx i)
+      | K.Fail m -> arm ctx i at (fun () -> on_fail ctx i m)
+      | K.Complete -> arm ctx i at (fun () -> on_complete ctx i Inplace))
     | Shadow ->
       (* The pre-swap abort points are all analytic: a fired shadow
          site surfaces as one failed attempt (the engine's abort +
@@ -1121,22 +1032,31 @@ and schedule_attempt ctx i =
       else
         arm ctx i
           (from_start
-             (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_shadow))
+             (Sim.Time.scale
+                (K.host_jitter st.cfg.seed st.cfg.jitter_pct t.t_node)
+                t.t_shadow))
           (fun () -> on_complete ctx i Shadow)
-    | Drain ->
-      if coin st.cfg "drain" t.t_node st.cfg.drain_flakiness then
-        arm ctx i
-          (from_start (Sim.Time.scale drain_fail_frac t.t_drain))
-          (fun () -> on_fail ctx i Crash)
-      else arm ctx i (from_start t.t_drain) (fun () -> on_complete ctx i Drain)
+    | Drain -> (
+      let next =
+        K.drain_next ~seed:st.cfg.seed ~flakiness:st.cfg.drain_flakiness
+          ~host:t.t_node
+      in
+      let at = from_start (K.drain_offset ~span:t.t_drain next) in
+      match next with
+      | K.Complete -> arm ctx i at (fun () -> on_complete ctx i Drain)
+      | K.Fail m -> arm ctx i at (fun () -> on_fail ctx i m)
+      | K.Flap_leg | K.Deadline -> assert false)
     | Retry ->
-      if coin st.cfg "retry" t.t_node st.cfg.retry_flakiness then
+      if K.coin st.cfg.seed "retry" t.t_node st.cfg.retry_flakiness then
         arm ctx i
           (from_start (Sim.Time.scale retry_fail_frac t.t_up))
           (fun () -> on_fail ctx i Crash)
       else
         arm ctx i
-          (from_start (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_up))
+          (from_start
+             (Sim.Time.scale
+                (K.host_jitter st.cfg.seed st.cfg.jitter_pct t.t_node)
+                t.t_up))
           (fun () -> on_complete ctx i Retry))
   | _ ->
     Hypertp_error.raise_error ~site:"Campaign"
@@ -1169,17 +1089,12 @@ and on_complete ctx i step =
      via InPlaceTP.  Only consulted when the plan arms the audit sites,
      so journals recorded under audit-free plans keep their fault
      cursors bit-for-bit (and the probability stream stays aligned for
-     everyone else).  Both sites are consulted in a fixed order even
-     when the first misses, for the same stream-alignment reason. *)
+     everyone else). *)
   let audit =
     match step with
-    | (Inplace | Retry) when audit_armed st ->
-      let leak = fire_opt st ~vm:node Fault.Residual_leak in
-      let scrub_failed = fire_opt st ~vm:node Fault.Scrub_fail in
-      Some
-        (if not leak then A_clean
-         else if scrub_failed then A_failed
-         else A_scrubbed)
+    | (Inplace | Retry) when armed st [ Fault.Residual_leak; Fault.Scrub_fail ]
+      ->
+      Some (audit_decide st ~host:node)
     | _ -> None
   in
   append st ~host:node ?audit ~at:(Sim.Engine.now ctx.eng)
@@ -1200,15 +1115,16 @@ and on_flap_leg ctx i =
 let make_journal st =
   { j_config = st.cfg; j_words = st.entries; j_names = st.setup.su_names }
 
+(* Campaign end: the finish event plus the final rebalance tail. *)
+let wall_clock st =
+  match st.finished_at with
+  | Some t -> Sim.Time.add t st.setup.su_rebalance
+  | None ->
+    Hypertp_error.raise_error ~site:"Campaign"
+      "result requested before the finish event"
+
 let make_report st =
-  let finished =
-    match st.finished_at with
-    | Some t -> t
-    | None ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "report requested before the finish event"
-  in
-  let wall = Sim.Time.add finished st.setup.su_rebalance in
+  let wall = wall_clock st in
   (* Rebuild per-host timelines from the packed journal (newest first,
      reversed below) — the controller stopped tracking them live. *)
   let n = Array.length st.setup.su_tasks in
@@ -1284,7 +1200,7 @@ let make_report st =
     deferred_exposure_hours =
       List.fold_left (fun acc h -> acc +. h.hr_exposure_hours) 0.0
         deferred_hosts;
-    breaker_trips = st.trips;
+    breaker_trips = K.trips st.breaker;
     vms_total;
     vms_inplace_ok =
       sum_vms (function
@@ -1369,110 +1285,70 @@ let resume_st ?fault ?obs ?metrics journal =
     match st.fault with Some f -> Fault.seed f | None -> 0L
   in
   let entry_no = ref 0 in
+  let disagree h e what =
+    Hypertp_error.raise_errorf ~site:"Campaign.resume"
+      ~hint:
+        (Printf.sprintf
+           "the journal was recorded under a different fault plan: pass the \
+            exact --fault specs (and seed) of the crashed run; the restarted \
+            plan (seed %Ld) decides differently here" (plan_seed ()))
+      "journal entry %d (host %s %s at %s) disagrees with the fault plan on \
+       the %s"
+      !entry_no h
+      (match e.je_event with
+      | Admitted Shadow -> "shadow admission"
+      | Admitted _ -> "admission"
+      | _ -> "completion")
+      (Sim.Time.to_string e.je_at) what
+  in
+  (* The named decisions that differ between journal and plan. *)
+  let diverged pairs =
+    String.concat ", "
+      (List.filter_map
+         (fun (name, journalled, replayed) ->
+           if journalled <> replayed then
+             Some
+               (Printf.sprintf "%s (journal %b, plan %b)" name journalled
+                  replayed)
+           else None)
+         pairs)
+    ^ " decision"
+  in
   journal_iter
     (fun e ->
       incr entry_no;
-      (match (e.je_event, e.je_host, e.je_decision) with
-      | Admitted Inplace, Some h, Some d ->
-        let f_flap = fire_opt st ~vm:h Fault.Host_flap in
-        let f_crash = fire_opt st ~vm:h Fault.Host_crash in
-        let f_timeout = fire_opt st ~vm:h Fault.Host_timeout in
-        if
-          st.fault <> None
-          && (f_flap <> d.d_flap || f_crash <> d.d_crash
-            || f_timeout <> d.d_timeout)
-        then
-          let diverged =
-            String.concat ", "
-              (List.filter_map
-                 (fun (name, journalled, replayed) ->
-                   if journalled <> replayed then
-                     Some
-                       (Printf.sprintf "%s (journal %b, plan %b)" name
-                          journalled replayed)
-                   else None)
-                 [ ("flap", d.d_flap, f_flap); ("crash", d.d_crash, f_crash);
-                   ("timeout", d.d_timeout, f_timeout) ])
-          in
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s admission at %s) disagrees with the \
-             fault plan on the %s decision"
-            !entry_no h (Sim.Time.to_string e.je_at) diverged
-      | Admitted Inplace, _, None ->
+      (* Admissions and audited completions re-fire their sites: the
+         entry carries a decision iff the recording run consulted them
+         there. *)
+      (match
+         (e.je_event, e.je_host, e.je_decision, e.je_shadow, e.je_audit)
+       with
+      | Admitted Inplace, Some h, Some d, _, _ ->
+        let r = Option.get (K.decide st.fault ~host:h) in
+        if st.fault <> None && r <> d then
+          disagree h e
+            (diverged
+               [ ("flap", d.d_flap, r.d_flap); ("crash", d.d_crash, r.d_crash);
+                 ("timeout", d.d_timeout, r.d_timeout) ])
+      | Admitted Inplace, _, None, _, _ ->
         Hypertp_error.raise_errorf ~site:"Campaign.resume"
           "journal entry %d: in-place admission without decision" !entry_no
-      | _ -> ());
-      (* Shadow admissions are re-fired and validated like the in-place
-         decisions: the entry carries [je_shadow] iff the recording run
-         consulted the shadow sites at this admission. *)
-      (match (e.je_event, e.je_host, e.je_shadow) with
-      | Admitted Shadow, Some h, Some s ->
-        let f_spare = fire_opt st ~vm:h Fault.Spare_exhausted in
-        let f_stage = fire_opt st ~vm:h Fault.Shadow_stage_fail in
-        let f_drop = fire_opt st ~vm:h Fault.Shadow_stream_drop in
-        let f_diverge = fire_opt st ~vm:h Fault.Shadow_diverge in
-        let f_partition = fire_opt st ~vm:h Fault.Swap_partition in
-        let replayed =
-          { s_spare = f_spare; s_stage = f_stage; s_drop = f_drop;
-            s_diverge = f_diverge; s_partition = f_partition }
-        in
-        if st.fault <> None && replayed <> s then
-          let diverged =
-            String.concat ", "
-              (List.filter_map
-                 (fun (name, journalled, rep) ->
-                   if journalled <> rep then
-                     Some
-                       (Printf.sprintf "%s (journal %b, plan %b)" name
-                          journalled rep)
-                   else None)
-                 [ ("spare", s.s_spare, f_spare);
-                   ("stage", s.s_stage, f_stage);
-                   ("drop", s.s_drop, f_drop);
-                   ("diverge", s.s_diverge, f_diverge);
-                   ("partition", s.s_partition, f_partition) ])
-          in
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s shadow admission at %s) disagrees \
-             with the fault plan on the %s decision"
-            !entry_no h (Sim.Time.to_string e.je_at) diverged
-      | _ -> ());
-      (* Audit verdicts are re-fired and validated the same way as the
-         admission decisions: the entry carries [je_audit] iff the
-         recording run consulted the audit sites at this completion. *)
-      (match (e.je_event, e.je_host, e.je_audit) with
-      | Attempt_completed (Inplace | Retry), Some h, Some v ->
-        let leak = fire_opt st ~vm:h Fault.Residual_leak in
-        let scrub_failed = fire_opt st ~vm:h Fault.Scrub_fail in
-        let replayed =
-          if not leak then A_clean
-          else if scrub_failed then A_failed
-          else A_scrubbed
-        in
-        if st.fault <> None && replayed <> v then
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s completion at %s) disagrees with \
-             the fault plan on the audit verdict (journal %s, plan %s)"
-            !entry_no h (Sim.Time.to_string e.je_at) (verdict_to_string v)
-            (verdict_to_string replayed)
+      | Admitted Shadow, Some h, _, Some s, _ ->
+        let r = shadow_decide st ~host:h in
+        if st.fault <> None && r <> s then
+          disagree h e
+            (diverged
+               [ ("spare", s.s_spare, r.s_spare);
+                 ("stage", s.s_stage, r.s_stage);
+                 ("drop", s.s_drop, r.s_drop);
+                 ("diverge", s.s_diverge, r.s_diverge);
+                 ("partition", s.s_partition, r.s_partition) ])
+      | Attempt_completed (Inplace | Retry), Some h, _, _, Some v ->
+        let r = audit_decide st ~host:h in
+        if st.fault <> None && r <> v then
+          disagree h e
+            (Printf.sprintf "audit verdict (journal %s, plan %s)"
+               (verdict_to_string v) (verdict_to_string r))
       | _ -> ());
       apply st e;
       ignore (fire_opt st Fault.Controller_crash);
@@ -1504,9 +1380,9 @@ let resume_st ?fault ?obs ?metrics journal =
     (fun i h ->
       match h with H_running _ -> schedule_attempt ctx i | _ -> ())
     st.hstates;
-  (match st.breaker with
-  | B_open_until u -> Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
-  | B_closed | B_half_open -> ());
+  (match K.state st.breaker with
+  | K.B_open_until u -> Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
+  | K.B_closed | K.B_half_open -> ());
   ctx
 
 let resume ?ctx:run_ctx ?fault ?obs ?metrics journal =
@@ -1545,12 +1421,6 @@ let step_of_string = function
   | "retry" -> Some Retry
   | _ -> None
 
-let man_of_string = function
-  | "crash" -> Some Crash
-  | "timeout" -> Some Timeout
-  | "flap" -> Some Flap
-  | _ -> None
-
 let journal_magic = "hypertp-campaign-journal v1"
 
 let journal_to_string j =
@@ -1574,36 +1444,26 @@ let journal_to_string j =
         else ""));
   journal_iter
     (fun e ->
-      let host = match e.je_host with Some h -> h | None -> "-" in
-      let kind =
+      let tag =
         match e.je_event with
-        | Admitted step -> Printf.sprintf "adm step=%s" (step_to_string step)
-        | Flap_failure -> "flapleg"
-        | Straggler_cancelled -> "strag"
+        | Admitted step -> K.Adm step
+        | Flap_failure -> K.Flapleg
+        | Straggler_cancelled -> K.Strag
         | Attempt_failed { step; manifestation } ->
-          Printf.sprintf "fail step=%s man=%s" (step_to_string step)
-            (man_to_string manifestation)
-        | Attempt_completed step ->
-          Printf.sprintf "done step=%s" (step_to_string step)
-        | Deferred -> "defer"
-        | Breaker_opened -> "bopen"
-        | Breaker_half_opened -> "bhalf"
-        | Breaker_closed -> "bclosed"
-        | Campaign_finished -> "fin"
+          K.Failed (step, manifestation)
+        | Attempt_completed step -> K.Done step
+        | Deferred -> K.Own "defer"
+        | Breaker_opened -> K.Bopen
+        | Breaker_half_opened -> K.Bhalf
+        | Breaker_closed -> K.Bclosed
+        | Campaign_finished -> K.Own "fin"
       in
-      let decision =
-        match e.je_decision with
-        | Some d ->
-          Printf.sprintf " flap=%d crash=%d timeout=%d"
-            (Bool.to_int d.d_flap) (Bool.to_int d.d_crash)
-            (Bool.to_int d.d_timeout)
-        | None -> ""
-      in
-      (* Optional token: absent on audit-free entries, so journals
-         written before the audit existed serialise byte-identically. *)
+      (* Optional tokens: absent on audit- and shadow-free entries, so
+         journals written before either existed serialise
+         byte-identically. *)
       let audit =
         match e.je_audit with
-        | Some v -> Printf.sprintf " audit=%s" (verdict_to_string v)
+        | Some v -> " audit=" ^ verdict_to_string v
         | None -> ""
       in
       let shadow =
@@ -1615,195 +1475,109 @@ let journal_to_string j =
             (Bool.to_int s.s_partition)
         | None -> ""
       in
-      Buffer.add_string buf
-        (Printf.sprintf "e at=%d host=%s %s%s%s%s cursor=%d\n"
-           (Sim.Time.to_ns e.je_at) host kind decision audit shadow
-           e.je_cursor))
+      K.print_entry buf ~step:step_to_string ~at:e.je_at ~host:e.je_host ~tag
+        ~decision:e.je_decision ~suffix:(audit ^ shadow) ~cursor:e.je_cursor)
     j;
   Buffer.contents buf
 
-exception Parse of string
-
 let journal_of_string s =
-  let kv tok =
-    match String.index_opt tok '=' with
-    | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-    | None -> None
-  in
-  let fields line = List.filter_map kv (String.split_on_char ' ' line) in
-  let get fs k =
-    match List.assoc_opt k fs with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-  in
-  let int_f fs k =
-    match int_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "bad integer for %S" k))
-  in
-  let float_f fs k =
-    match float_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "bad float for %S" k))
-  in
-  try
-    let lines =
-      List.filter
-        (fun l -> String.trim l <> "")
-        (String.split_on_char '\n' s)
-    in
-    match lines with
-    | magic :: config_line :: entry_lines ->
-      if String.trim magic <> journal_magic then
-        raise (Parse "not a campaign journal (bad magic line)");
-      let fs = fields config_line in
-      let config =
-        {
-          nodes = int_f fs "nodes";
-          vms_per_node = int_f fs "vms_per_node";
-          vm_ram = int_f fs "vm_ram";
-          node_ram = int_f fs "node_ram";
-          inplace_fraction = float_f fs "fraction";
-          concurrency = int_f fs "concurrency";
-          straggler_factor = float_f fs "straggler";
-          breaker_window = int_f fs "window";
-          breaker_threshold = float_f fs "threshold";
-          breaker_cooldown = Sim.Time.ns (int_f fs "cooldown_ns");
-          jitter_pct = float_f fs "jitter";
-          drain_flakiness = float_f fs "drain";
-          retry_flakiness = float_f fs "retry";
-          seed =
-            (match Int64.of_string_opt (get fs "seed") with
-            | Some v -> v
-            | None -> raise (Parse "bad seed"));
-          shadow_spares =
-            (match List.assoc_opt "shadow_spares" fs with
-            | None -> 0
-            | Some _ -> int_f fs "shadow_spares");
-        }
+  let module L = Sim.Lines in
+  Sim.Lines.decode ~magic:journal_magic ~what:"campaign journal"
+    (fun lines ->
+      let l, entry_lines =
+        match lines with
+        | l :: rest when L.keyword l = "config" -> (l, rest)
+        | _ -> raise (L.Malformed "truncated journal (need a config line)")
       in
-      let parse_step fs =
-        match step_of_string (get fs "step") with
-        | Some s -> s
-        | None -> raise (Parse "bad ladder step")
+      let config =
+        L.checked l validate_config
+          {
+            nodes = L.int l "nodes";
+            vms_per_node = L.int l "vms_per_node";
+            vm_ram = L.int l "vm_ram";
+            node_ram = L.int l "node_ram";
+            inplace_fraction = L.float l "fraction";
+            concurrency = L.int l "concurrency";
+            straggler_factor = L.float l "straggler";
+            breaker_window = L.int l "window";
+            breaker_threshold = L.float l "threshold";
+            breaker_cooldown = L.ns l "cooldown_ns";
+            jitter_pct = L.float l "jitter";
+            drain_flakiness = L.float l "drain";
+            retry_flakiness = L.float l "retry";
+            seed = L.int64 l "seed";
+            shadow_spares =
+              (match L.opt l "shadow_spares" with
+              | None -> 0
+              | Some _ -> L.int l "shadow_spares");
+          }
       in
       (* Parsed entries are interned straight into the packed form;
          hosts get side-table indices in first-appearance order. *)
       let words = Sim.Vec.create ~capacity:(4 * List.length entry_lines) 0 in
-      let names = ref [] in
+      let names = Sim.Vec.create "" in
       let name_idx = Hashtbl.create 64 in
-      let n_names = ref 0 in
       let intern h =
         match Hashtbl.find_opt name_idx h with
         | Some i -> i
         | None ->
-          let i = !n_names in
-          Hashtbl.replace name_idx h i;
-          names := h :: !names;
-          incr n_names;
-          i
+          Hashtbl.replace name_idx h (Sim.Vec.length names);
+          Sim.Vec.push names h;
+          Sim.Vec.length names - 1
       in
       List.iter
-        (fun line ->
-            let tokens = String.split_on_char ' ' line in
-            (match tokens with
-            | "e" :: _ -> ()
-            | _ -> raise (Parse ("bad entry line: " ^ line)));
-            let kind =
-              match
-                List.find_opt (fun t -> t <> "e" && kv t = None) tokens
-              with
-              | Some k -> k
-              | None -> raise (Parse ("entry without a kind: " ^ line))
-            in
-            let fs = fields line in
-            let event =
-              match kind with
-              | "adm" -> Admitted (parse_step fs)
-              | "flapleg" -> Flap_failure
-              | "strag" -> Straggler_cancelled
-              | "fail" ->
-                Attempt_failed
-                  {
-                    step = parse_step fs;
-                    manifestation =
-                      (match man_of_string (get fs "man") with
-                      | Some m -> m
-                      | None -> raise (Parse "bad manifestation"));
-                  }
-              | "done" -> Attempt_completed (parse_step fs)
-              | "defer" -> Deferred
-              | "bopen" -> Breaker_opened
-              | "bhalf" -> Breaker_half_opened
-              | "bclosed" -> Breaker_closed
-              | "fin" -> Campaign_finished
-              | k -> raise (Parse ("unknown entry kind " ^ k))
-            in
-            let decision =
-              match List.assoc_opt "flap" fs with
-              | None -> None
-              | Some _ ->
-                Some
-                  {
-                    d_flap = int_f fs "flap" <> 0;
-                    d_crash = int_f fs "crash" <> 0;
-                    d_timeout = int_f fs "timeout" <> 0;
-                  }
-            in
-            let audit =
-              match List.assoc_opt "audit" fs with
-              | None -> None
-              | Some v -> (
-                match verdict_of_string v with
-                | Some _ as r -> r
-                | None -> raise (Parse ("bad audit verdict " ^ v)))
-            in
-            let shadow =
-              match List.assoc_opt "sspare" fs with
-              | None -> None
-              | Some _ ->
-                Some
-                  {
-                    s_spare = int_f fs "sspare" <> 0;
-                    s_stage = int_f fs "sstage" <> 0;
-                    s_drop = int_f fs "sdrop" <> 0;
-                    s_diverge = int_f fs "sdiverge" <> 0;
-                    s_partition = int_f fs "spart" <> 0;
-                  }
-            in
-            let e =
-              {
-                je_at = Sim.Time.ns (int_f fs "at");
-                je_host =
-                  (match get fs "host" with "-" -> None | h -> Some h);
-                je_event = event;
-                je_decision = decision;
-                je_audit = audit;
-                je_shadow = shadow;
-                je_cursor = int_f fs "cursor";
-              }
-            in
-            let host_idx =
-              match e.je_host with None -> -1 | Some h -> intern h
-            in
-            let w0, w1, w2 = pack_entry ~host_idx e in
-            Sim.Vec.push words w0;
-            Sim.Vec.push words w1;
-            Sim.Vec.push words w2)
+        (fun l ->
+          let t = K.parse_entry ~step:step_of_string l in
+          let event =
+            match t.K.t_tag with
+            | K.Adm step -> Admitted step
+            | K.Flapleg -> Flap_failure
+            | K.Strag -> Straggler_cancelled
+            | K.Failed (step, manifestation) ->
+              Attempt_failed { step; manifestation }
+            | K.Done step -> Attempt_completed step
+            | K.Own "defer" -> Deferred
+            | K.Bopen -> Breaker_opened
+            | K.Bhalf -> Breaker_half_opened
+            | K.Bclosed -> Breaker_closed
+            | K.Own "fin" -> Campaign_finished
+            | K.Own k -> L.fail l "unknown entry kind %S" k
+          in
+          let e =
+            {
+              je_at = t.K.t_at;
+              je_host = t.K.t_host;
+              je_event = event;
+              je_decision = t.K.t_decision;
+              je_audit =
+                (match L.opt l "audit" with
+                | None -> None
+                | Some _ -> Some (L.conv l "audit" verdict_of_string));
+              je_shadow =
+                (match L.opt l "sspare" with
+                | None -> None
+                | Some _ ->
+                  Some
+                    {
+                      s_spare = L.flag l "sspare";
+                      s_stage = L.flag l "sstage";
+                      s_drop = L.flag l "sdrop";
+                      s_diverge = L.flag l "sdiverge";
+                      s_partition = L.flag l "spart";
+                    });
+              je_cursor = t.K.t_cursor;
+            }
+          in
+          let host_idx =
+            match e.je_host with None -> -1 | Some h -> intern h
+          in
+          let w0, w1, w2 = pack_entry ~host_idx e in
+          Sim.Vec.push words w0;
+          Sim.Vec.push words w1;
+          Sim.Vec.push words w2)
         entry_lines;
-      Ok
-        {
-          j_config = config;
-          j_words = words;
-          j_names = Array.of_list (List.rev !names);
-        }
-    | _ -> raise (Parse "truncated journal (need magic + config lines)")
-  with
-  | Parse msg -> Error msg
-  | Invalid_argument msg -> Error msg
+      { j_config = config; j_words = words; j_names = Sim.Vec.to_array names })
+    s
 
 (* --- pretty printing --- *)
 
@@ -1888,14 +1662,7 @@ type fleet_report = {
    per region instead of a [report], whose per-host records would put a
    million boxed timelines back on the heap. *)
 let make_summary ~region ~resumes st =
-  let finished =
-    match st.finished_at with
-    | Some t -> t
-    | None ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "summary requested before the finish event"
-  in
-  let wall = Sim.Time.add finished st.setup.su_rebalance in
+  let wall = wall_clock st in
   let inplace = ref 0 and shadow = ref 0 and drained = ref 0 in
   let retried = ref 0 and exposed = ref 0 in
   Array.iter
@@ -1916,7 +1683,7 @@ let make_summary ~region ~resumes st =
     s_exposed_host_hours =
       st.exposure_acc +. (float_of_int st.n_deferred_exposed *. hours wall);
     s_baseline_exposed_host_hours = float_of_int st.cfg.nodes *. hours wall;
-    s_breaker_trips = st.trips;
+    s_breaker_trips = K.trips st.breaker;
     s_inplace = !inplace;
     s_shadow = !shadow;
     s_drained = !drained;

@@ -49,8 +49,8 @@
     plan's stream. *)
 
 type config = {
-  nodes : int;
-  vms_per_node : int;
+  nodes : int;  (** 2 to 1,000,000; shard larger fleets with {!run_fleet} *)
+  vms_per_node : int;  (** [nodes x vms_per_node] is at most 10,000,000 *)
   vm_ram : Hw.Units.bytes_;
   node_ram : Hw.Units.bytes_;
   inplace_fraction : float;
@@ -75,7 +75,7 @@ val default_config : config
 
 type ladder_step = Inplace | Shadow | Drain | Retry
 
-type manifestation = Crash | Timeout | Flap
+type manifestation = Campaign_kernel.manifestation = Crash | Timeout | Flap
 
 type event =
   | Admitted of ladder_step
@@ -172,6 +172,10 @@ val journal_to_string : journal -> string
 (** Line-oriented text serialisation (for [--resume-from] files). *)
 
 val journal_of_string : string -> (journal, string) result
+(** Inverse of {!journal_to_string}.  The config is validated as {!run}
+    validates it, so a journal whose header names more than 1,000,000
+    nodes or 10,000,000 VMs is an [Error] before anything is allocated
+    for them. *)
 
 (** {1 Running} *)
 

@@ -1,3 +1,5 @@
+module K = Campaign_kernel
+
 type config = {
   regions : int;
   hosts_per_region : int;
@@ -63,7 +65,7 @@ let config_of_topology topology base =
   }
 
 type step = Inplace | Drain
-type manifestation = Crash | Timeout | Flap
+type manifestation = K.manifestation = Crash | Timeout | Flap
 
 type host_status = Upgraded_inplace | Drained | Deferred_exposed
 
@@ -107,35 +109,22 @@ type report = {
   cp_hosts_exposed : int;
 }
 
-(* Manifestation timing fractions, shared with [Campaign]: the cost
-   order timeout > flap > crash keeps the straggler deadline (>= 1.2 x
-   expected) strictly above the final flap leg (1.10x) and any jittered
-   success (<= 1.10x), so only a [d_timeout] decision ever reaches the
-   deadline. *)
-let crash_frac = 0.5
-let flap_leg1_frac = 0.55
-let flap_final_frac = 1.10
-let drain_fail_frac = 0.6
-
-let min_straggler_factor = 1.2
-let max_jitter_pct = 0.1
+let max_hosts = 1_000_000
 
 let validate_config (cfg : config) =
   let bad msg = Hypertp_error.raise_error ~site:"Controlplane" msg in
   if cfg.regions < 1 then bad "need at least 1 region";
   if cfg.hosts_per_region < 1 then bad "hosts_per_region must be at least 1";
+  if cfg.hosts_per_region > max_hosts / cfg.regions then
+    Hypertp_error.raise_errorf ~site:"Controlplane"
+      "regions x hosts_per_region (%d x %d) above the bound of %d hosts"
+      cfg.regions cfg.hosts_per_region max_hosts;
   if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
   if cfg.global_concurrency < cfg.regions then
     bad "global_concurrency below the region count (each region needs a slot)";
-  if cfg.straggler_factor < min_straggler_factor then
-    bad "straggler_factor below 1.2 (deadline must dominate a flap)";
-  if cfg.breaker_window < 1 then bad "breaker_window must be at least 1";
-  if cfg.breaker_threshold < 0.0 || cfg.breaker_threshold > 1.0 then
-    bad "breaker_threshold outside [0, 1]";
-  if cfg.jitter_pct < 0.0 || cfg.jitter_pct > max_jitter_pct then
-    bad "jitter_pct outside [0, 0.1] (success must beat the deadline)";
-  if cfg.drain_flakiness < 0.0 || cfg.drain_flakiness > 1.0 then
-    bad "drain_flakiness outside [0, 1]";
+  K.validate ~site:"Controlplane" ~straggler_factor:cfg.straggler_factor
+    ~breaker_window:cfg.breaker_window ~breaker_threshold:cfg.breaker_threshold
+    ~jitter_pct:cfg.jitter_pct ~drain_flakiness:cfg.drain_flakiness;
   if Sim.Time.(cfg.heartbeat_every <= zero) then
     bad "heartbeat_every must be positive";
   if Sim.Time.(cfg.heartbeat_timeout <= cfg.heartbeat_every) then
@@ -150,18 +139,8 @@ let validate_config (cfg : config) =
       "realloc_lag below heartbeat_timeout + 2 x heartbeat_every (a \
        reallocation could land inside the grantor's detection window)"
 
-(* --- derived per-host randomness, independent of the fault plan --- *)
-
 let region_name r = Printf.sprintf "r%d" r
 let host_name r i = Printf.sprintf "r%d-h%d" r i
-
-let derived seed salt key =
-  Sim.Rng.create (Int64.logxor seed (Int64.of_int (Hashtbl.hash (salt, key))))
-
-let coin cfg salt host p = Sim.Rng.float (derived cfg.seed salt host) 1.0 < p
-
-let host_jitter cfg host =
-  Sim.Rng.jitter (derived cfg.seed "jitter" host) cfg.jitter_pct
 
 (* Per-region host fault plans: the caller plan's host-site injections,
    re-seeded per region, so one region's fault stream never shifts when
@@ -185,7 +164,7 @@ let derive_hplan fault r =
 
 (* --- journal --- *)
 
-type decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
+type decision = K.decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
 
 type entry = {
   ce_at : Sim.Time.t; (* derived logical time, never the engine clock *)
@@ -221,19 +200,13 @@ type hstate =
   | H_failed_needs_drain
   | H_done of host_status * Sim.Time.t
 
-type breaker = B_closed | B_open_until of Sim.Time.t | B_half_open
-
 type rstate = {
   r_index : int;
   base_limit : int;
   hstates : hstate array;
   attempts : int array;
   manifests : manifestation list array; (* newest first *)
-  mutable breaker : breaker;
-  mutable window : bool list; (* newest first, <= breaker_window long *)
-  mutable half_successes : int;
-  mutable half_failed : bool;
-  mutable trips : int;
+  mutable breaker : K.breaker;
   mutable granted : int; (* slots received via Limit_raised *)
   mutable limit : int;
   mutable running : int;
@@ -269,6 +242,10 @@ type st = {
 exception Root_died
 exception Subctl_died
 
+let new_breaker (cfg : config) =
+  K.breaker ~window:cfg.breaker_window ~threshold:cfg.breaker_threshold
+    ~cooldown:cfg.breaker_cooldown
+
 let base_limit_of (cfg : config) r =
   (cfg.global_concurrency / cfg.regions)
   + (if r < cfg.global_concurrency mod cfg.regions then 1 else 0)
@@ -296,11 +273,7 @@ let make_st ?fault ?obs ?metrics (cfg : config) =
           hstates = Array.make cfg.hosts_per_region H_pending;
           attempts = Array.make cfg.hosts_per_region 0;
           manifests = Array.make cfg.hosts_per_region [];
-          breaker = B_closed;
-          window = [];
-          half_successes = 0;
-          half_failed = false;
-          trips = 0;
+          breaker = new_breaker cfg;
           granted = 0;
           limit = base;
           running = 0;
@@ -339,7 +312,7 @@ let make_st ?fault ?obs ?metrics (cfg : config) =
     chaos = fault;
     partition_rng =
       Array.init cfg.regions (fun r ->
-          derived chaos_seed "partition" (region_name r));
+          K.derived chaos_seed "partition" (region_name r));
     realloc_done = Array.make cfg.regions false;
     obs;
     metrics;
@@ -356,24 +329,11 @@ let fire_chaos st ?vm site =
 let cursor r =
   match r.hplan with None -> 0 | Some f -> Fault.trace_length f
 
-let fire_hplan r ?vm site =
-  match r.hplan with None -> false | Some f -> Fault.fire f ?vm site
-
 let hours t = Sim.Time.to_sec_f t /. 3600.0
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
 
 (* --- event naming (logs, obs attrs, serialisation) --- *)
 
 let step_to_string = function Inplace -> "inplace" | Drain -> "drain"
-
-let man_to_string = function
-  | Crash -> "crash"
-  | Timeout -> "timeout"
-  | Flap -> "flap"
 
 let event_label = function
   | Admitted step -> "admitted(" ^ step_to_string step ^ ")"
@@ -381,7 +341,7 @@ let event_label = function
   | Straggler_cancelled -> "straggler-cancelled"
   | Attempt_failed { step; manifestation } ->
     Printf.sprintf "failed(%s, %s)" (step_to_string step)
-      (man_to_string manifestation)
+      (K.man_to_string manifestation)
   | Attempt_completed step -> "completed(" ^ step_to_string step ^ ")"
   | Breaker_opened -> "breaker-opened"
   | Breaker_half_opened -> "breaker-half-open"
@@ -392,38 +352,35 @@ let event_label = function
 
 (* --- apply: the single funnel every mutation goes through --- *)
 
-let push_window st r ok =
-  (match r.breaker with
-  | B_half_open ->
-    if ok then r.half_successes <- r.half_successes + 1
-    else begin
-      r.half_successes <- 0;
-      r.half_failed <- true
-    end
-  | B_closed | B_open_until _ -> ());
-  r.window <- take st.cfg.breaker_window (ok :: r.window)
-
 let full_limit r = r.base_limit + r.granted
 
 let recompute_limit r =
   r.limit <-
-    (match r.breaker with
-    | B_half_open -> Stdlib.max 1 (full_limit r / 2)
-    | B_closed | B_open_until _ -> full_limit r)
+    (match K.state r.breaker with
+    | K.B_half_open -> Stdlib.max 1 (full_limit r / 2)
+    | K.B_closed | K.B_open_until _ -> full_limit r)
 
-let host_idx st r h =
-  let rec scan i =
-    if i >= Array.length r.hstates then
-      Hypertp_error.raise_errorf ~site:"Controlplane"
-        ~hint:"the journal must come from a campaign with the same config"
-        "unknown host in journal: %s" h
-    else if String.equal (host_name r.r_index i) h then i
-    else scan (i + 1)
+(* Host names are [r<R>-h<I>]: read [I] back and accept the name only
+   if it is exactly the one this region gives host [I]. *)
+let host_idx r h =
+  let i =
+    match String.index_opt h '-' with
+    | Some d when d + 2 < String.length h && h.[d + 1] = 'h' ->
+      int_of_string_opt (String.sub h (d + 2) (String.length h - d - 2))
+    | _ -> None
   in
-  ignore st;
-  scan 0
+  match i with
+  | Some i
+    when i >= 0
+         && i < Array.length r.hstates
+         && String.equal (host_name r.r_index i) h ->
+    i
+  | _ ->
+    Hypertp_error.raise_errorf ~site:"Controlplane"
+      ~hint:"the journal must come from a campaign with the same config"
+      "unknown host in journal: %s" h
 
-let resolve_failure st r i manifestation at =
+let resolve_failure r i manifestation at =
   r.running <- r.running - 1;
   r.manifests.(i) <- manifestation :: r.manifests.(i);
   match r.hstates.(i) with
@@ -432,20 +389,20 @@ let resolve_failure st r i manifestation at =
     | Inplace ->
       r.hstates.(i) <- H_failed_needs_drain;
       r.needs_drain <- i :: r.needs_drain;
-      push_window st r false
+      K.record r.breaker false
     | Drain ->
       r.hstates.(i) <- H_done (Deferred_exposed, at);
       r.n_done <- r.n_done + 1;
-      push_window st r false)
+      K.record r.breaker false)
   | _ ->
     Hypertp_error.raise_error ~site:"Controlplane"
       "failure recorded for a host not running"
 
-let apply st r e =
+let apply r e =
   let at = e.ce_at in
   match (e.ce_event, e.ce_host) with
   | Admitted step, Some h ->
-    let i = host_idx st r h in
+    let i = host_idx r h in
     (match (step, r.hstates.(i)) with
     | Inplace, H_pending | Drain, H_failed_needs_drain -> ()
     | _ ->
@@ -461,35 +418,29 @@ let apply st r e =
     r.running <- r.running + 1;
     r.attempts.(i) <- r.attempts.(i) + 1
   | Flap_failure, Some h -> (
-    match r.hstates.(host_idx st r h) with
+    match r.hstates.(host_idx r h) with
     | H_running ra -> ra.ra_flapped <- true
     | _ ->
       Hypertp_error.raise_error ~site:"Controlplane"
         "flap leg for a host not running")
   | Straggler_cancelled, Some h ->
-    resolve_failure st r (host_idx st r h) Timeout at
+    resolve_failure r (host_idx r h) Timeout at
   | Attempt_failed { manifestation; _ }, Some h ->
-    resolve_failure st r (host_idx st r h) manifestation at
+    resolve_failure r (host_idx r h) manifestation at
   | Attempt_completed step, Some h ->
-    let i = host_idx st r h in
+    let i = host_idx r h in
     r.running <- r.running - 1;
     (match step with
     | Inplace -> r.hstates.(i) <- H_done (Upgraded_inplace, at)
     | Drain -> r.hstates.(i) <- H_done (Drained, at));
     r.n_done <- r.n_done + 1;
-    push_window st r true
-  | Breaker_opened, None ->
-    r.trips <- r.trips + 1;
-    r.breaker <- B_open_until (Sim.Time.add at st.cfg.breaker_cooldown);
-    r.window <- [];
-    r.half_failed <- false
+    K.record r.breaker true
+  | Breaker_opened, None -> K.trip r.breaker ~at
   | Breaker_half_opened, None ->
-    r.breaker <- B_half_open;
-    r.half_successes <- 0;
-    r.half_failed <- false;
+    K.half_open r.breaker;
     recompute_limit r
   | Breaker_closed, None ->
-    r.breaker <- B_closed;
+    K.close r.breaker;
     recompute_limit r
   | Limit_raised { slots; _ }, None ->
     r.granted <- r.granted + slots;
@@ -535,11 +486,11 @@ let observe st r e =
     Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
       ~attrs:
         (("step", step_to_string step)
-        :: ("manifestation", man_to_string manifestation)
+        :: ("manifestation", K.man_to_string manifestation)
         :: host_attrs)
       "attempt_failed";
     Hypertp.Otrace.count st.metrics
-      ~labels:(("manifestation", man_to_string manifestation) :: labels)
+      ~labels:(("manifestation", K.man_to_string manifestation) :: labels)
       "hypertp_ctl_failures_total"
   | Attempt_completed step ->
     Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
@@ -565,7 +516,7 @@ let observe st r e =
     Hypertp.Otrace.count st.metrics ~labels "hypertp_ctl_reallocs_total"
   | Region_finished ->
     (match r.span with
-    | Some s -> Obs.Span.set_attr s "trips" (string_of_int r.trips)
+    | Some s -> Obs.Span.set_attr s "trips" (string_of_int (K.trips r.breaker))
     | None -> ());
     Hypertp.Otrace.finish st.obs r.span ~at;
     r.span <- None);
@@ -583,7 +534,7 @@ let append st r ?host ?decision ~at ev =
     { ce_at = at; ce_host = host; ce_event = ev; ce_decision = decision;
       ce_cursor = 0 }
   in
-  apply st r e;
+  apply r e;
   observe st r e;
   let crashed =
     r.alive && fire_chaos st ~vm:(region_name r.r_index) Fault.Subctl_crash
@@ -611,18 +562,16 @@ let append st r ?host ?decision ~at ev =
    the same total order (time, kind, region, host), which is what makes
    recovery timeline-neutral. *)
 
-type host_ev = Hv_flapleg | Hv_fail of manifestation | Hv_complete | Hv_straggler
-
-type raction = R_reopen | R_host of int * host_ev
+type raction = R_reopen | R_host of int * K.next
 
 let kind_reopen = 1
 let kind_host = 2
 
 let next_of_running st r i ra =
-  let name = host_name r.r_index i in
+  let host = host_name r.r_index i in
   let from span = Sim.Time.add ra.ra_started span in
   match ra.ra_step with
-  | Inplace -> (
+  | Inplace ->
     let d =
       match ra.ra_decision with
       | Some d -> d
@@ -630,19 +579,16 @@ let next_of_running st r i ra =
         Hypertp_error.raise_error ~site:"Controlplane"
           "in-place attempt without decision"
     in
-    if d.d_timeout then (from st.deadline, Hv_straggler)
-    else if d.d_flap then
-      if ra.ra_flapped then
-        (from (Sim.Time.scale flap_final_frac st.expected), Hv_fail Flap)
-      else (from (Sim.Time.scale flap_leg1_frac st.expected), Hv_flapleg)
-    else if d.d_crash then
-      (from (Sim.Time.scale crash_frac st.expected), Hv_fail Crash)
-    else
-      (from (Sim.Time.scale (host_jitter st.cfg name) st.expected), Hv_complete))
+    let next = K.inplace_next d ~flapped:ra.ra_flapped in
+    ( from
+        (K.inplace_offset ~seed:st.cfg.seed ~jitter_pct:st.cfg.jitter_pct ~host
+           ~expected:st.expected ~deadline:st.deadline next),
+      next )
   | Drain ->
-    if coin st.cfg "drain" name st.cfg.drain_flakiness then
-      (from (Sim.Time.scale drain_fail_frac st.drain_span), Hv_fail Crash)
-    else (from st.drain_span, Hv_complete)
+    let next =
+      K.drain_next ~seed:st.cfg.seed ~flakiness:st.cfg.drain_flakiness ~host
+    in
+    (from (K.drain_offset ~span:st.drain_span next), next)
 
 (* Minimum pending logical event of one region, keyed for the global
    comparator. *)
@@ -659,9 +605,9 @@ let region_candidate st r =
         ()
       | _ -> best := Some (t, kind, host, act)
     in
-    (match r.breaker with
-    | B_open_until u -> consider u kind_reopen (-1) R_reopen
-    | B_closed | B_half_open -> ());
+    (match K.state r.breaker with
+    | K.B_open_until u -> consider u kind_reopen (-1) R_reopen
+    | K.B_closed | K.B_half_open -> ());
     Array.iteri
       (fun i h ->
         match h with
@@ -686,18 +632,10 @@ let rec settle st r ~at =
     (fun i -> if r.hstates.(i) = H_failed_needs_drain then admit st r i Drain ~at)
     drainable;
   (* 2. Breaker transitions. *)
-  (match r.breaker with
-  | B_closed | B_half_open ->
-    let fails = List.length (List.filter not r.window) in
-    let rate = float_of_int fails /. float_of_int st.cfg.breaker_window in
-    if
-      (r.breaker = B_half_open && r.half_failed)
-      || (fails > 0 && rate >= st.cfg.breaker_threshold)
-    then append st r ~at Breaker_opened
-    else if
-      r.breaker = B_half_open && r.half_successes >= st.cfg.breaker_window
-    then append st r ~at Breaker_closed
-  | B_open_until _ -> ());
+  (match K.verdict r.breaker with
+  | K.Trip -> append st r ~at Breaker_opened
+  | K.Close -> append st r ~at Breaker_closed
+  | K.Hold -> ());
   (* 3. Admission: fill free slots lowest-index first unless the breaker
      is open.  [next_pending] is a monotone cursor — a host never
      returns to [H_pending]. *)
@@ -707,9 +645,9 @@ let rec settle st r ~at =
       r.next_pending <- r.next_pending + 1
     done
   in
-  (match r.breaker with
-  | B_open_until _ -> ()
-  | B_closed | B_half_open ->
+  (match K.state r.breaker with
+  | K.B_open_until _ -> ()
+  | K.B_closed | K.B_half_open ->
     skip ();
     while r.next_pending < n && r.running < r.limit do
       admit st r r.next_pending Inplace ~at;
@@ -723,15 +661,7 @@ let rec settle st r ~at =
 and admit st r i step ~at =
   let name = host_name r.r_index i in
   let decision =
-    match step with
-    | Inplace ->
-      (* Always consult all three sites in a fixed order so the derived
-         plan's probability stream stays aligned across fault plans. *)
-      let d_flap = fire_hplan r ~vm:name Fault.Host_flap in
-      let d_crash = fire_hplan r ~vm:name Fault.Host_crash in
-      let d_timeout = fire_hplan r ~vm:name Fault.Host_timeout in
-      Some { d_flap; d_crash; d_timeout }
-    | Drain -> None
+    match step with Inplace -> K.decide r.hplan ~host:name | Drain -> None
   in
   append st r ~host:name ?decision ~at (Admitted step)
 
@@ -742,28 +672,28 @@ and admit st r i step ~at =
 let process_raction st r ~at act =
   match act with
   | R_reopen -> (
-    match r.breaker with
-    | B_open_until _ ->
+    match K.state r.breaker with
+    | K.B_open_until _ ->
       append st r ~at Breaker_half_opened;
       settle st r ~at
-    | B_closed | B_half_open -> ())
+    | K.B_closed | K.B_half_open -> ())
   | R_host (i, hv) -> (
     let name = host_name r.r_index i in
     match r.hstates.(i) with
     | H_running ra -> (
       match hv with
-      | Hv_flapleg ->
+      | K.Flap_leg ->
         (* First leg: the host fails, then recovers.  Not an attempt
            outcome — it must not count toward the breaker. *)
         append st r ~host:name ~at Flap_failure
-      | Hv_straggler ->
+      | K.Deadline ->
         append st r ~host:name ~at Straggler_cancelled;
         settle st r ~at
-      | Hv_fail m ->
+      | K.Fail m ->
         append st r ~host:name ~at
           (Attempt_failed { step = ra.ra_step; manifestation = m });
         settle st r ~at
-      | Hv_complete ->
+      | K.Complete ->
         append st r ~host:name ~at (Attempt_completed ra.ra_step);
         settle st r ~at)
     | _ ->
@@ -776,11 +706,7 @@ let reset_region st r =
   Array.fill r.hstates 0 (Array.length r.hstates) H_pending;
   Array.fill r.attempts 0 (Array.length r.attempts) 0;
   Array.fill r.manifests 0 (Array.length r.manifests) [];
-  r.breaker <- B_closed;
-  r.window <- [];
-  r.half_successes <- 0;
-  r.half_failed <- false;
-  r.trips <- 0;
+  r.breaker <- new_breaker st.cfg;
   r.granted <- 0;
   r.limit <- r.base_limit;
   r.running <- 0;
@@ -816,14 +742,7 @@ let replay st r ~emit =
       end;
       (match (e.ce_event, e.ce_host, e.ce_decision) with
       | Admitted Inplace, Some h, Some d ->
-        let f_flap = fire_hplan r ~vm:h Fault.Host_flap in
-        let f_crash = fire_hplan r ~vm:h Fault.Host_crash in
-        let f_timeout = fire_hplan r ~vm:h Fault.Host_timeout in
-        if
-          r.hplan <> None
-          && (f_flap <> d.d_flap || f_crash <> d.d_crash
-            || f_timeout <> d.d_timeout)
-        then
+        if r.hplan <> None && K.decide r.hplan ~host:h <> Some d then
           Hypertp_error.raise_errorf ~site:"Controlplane.resume"
             ~hint:
               "resume with the fault plan the crashed run used: region \
@@ -837,7 +756,7 @@ let replay st r ~emit =
           "region %s journal entry %d: in-place admission without decision"
           rname !entry_no
       | _ -> ());
-      apply st r e;
+      apply r e;
       if emit then observe st r e;
       if r.hplan <> None && cursor r <> e.ce_cursor then
         Hypertp_error.raise_errorf ~site:"Controlplane.resume"
@@ -948,7 +867,7 @@ let make_report st =
              rr_hosts = hosts;
              rr_finished_at =
                (match r.finished_at with Some t -> t | None -> assert false);
-             rr_breaker_trips = r.trips;
+             rr_breaker_trips = K.trips r.breaker;
              rr_deferred =
                List.filter_map
                  (fun h ->
@@ -1269,33 +1188,22 @@ let merged_to_string b =
 let bundle_magic = "hypertp-controlplane-bundle v1"
 
 let entry_line buf e =
-  let kind =
+  let tag =
     match e.ce_event with
-    | Admitted step -> "adm step=" ^ step_to_string step
-    | Flap_failure -> "flapleg"
-    | Straggler_cancelled -> "strag"
-    | Attempt_failed { step; manifestation } ->
-      Printf.sprintf "fail step=%s man=%s" (step_to_string step)
-        (man_to_string manifestation)
-    | Attempt_completed step -> "done step=" ^ step_to_string step
-    | Breaker_opened -> "bopen"
-    | Breaker_half_opened -> "bhalf"
-    | Breaker_closed -> "bclosed"
+    | Admitted step -> K.Adm step
+    | Flap_failure -> K.Flapleg
+    | Straggler_cancelled -> K.Strag
+    | Attempt_failed { step; manifestation } -> K.Failed (step, manifestation)
+    | Attempt_completed step -> K.Done step
+    | Breaker_opened -> K.Bopen
+    | Breaker_half_opened -> K.Bhalf
+    | Breaker_closed -> K.Bclosed
     | Limit_raised { from_region; slots } ->
-      Printf.sprintf "raise from=%d slots=%d" from_region slots
-    | Region_finished -> "rfin"
+      K.Own (Printf.sprintf "raise from=%d slots=%d" from_region slots)
+    | Region_finished -> K.Own "rfin"
   in
-  let decision =
-    match e.ce_decision with
-    | Some d ->
-      Printf.sprintf " flap=%d crash=%d timeout=%d" (Bool.to_int d.d_flap)
-        (Bool.to_int d.d_crash) (Bool.to_int d.d_timeout)
-    | None -> ""
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "e at=%d host=%s %s%s cursor=%d\n" (Sim.Time.to_ns e.ce_at)
-       (match e.ce_host with Some h -> h | None -> "-")
-       kind decision e.ce_cursor)
+  K.print_entry buf ~step:step_to_string ~at:e.ce_at ~host:e.ce_host ~tag
+    ~decision:e.ce_decision ~suffix:"" ~cursor:e.ce_cursor
 
 let config_line (c : config) =
   Printf.sprintf
@@ -1323,145 +1231,91 @@ let bundle_to_string b =
     b.b_journals;
   Buffer.contents buf
 
-exception Parse of string
+let step_of_string = function
+  | "inplace" -> Some Inplace
+  | "drain" -> Some Drain
+  | _ -> None
 
 let bundle_of_string s =
-  let fail msg = raise (Parse msg) in
-  let kv tok =
-    match String.index_opt tok '=' with
-    | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-    | None -> None
-  in
-  let fields line = List.filter_map kv (String.split_on_char ' ' line) in
-  let get fs k =
-    match List.assoc_opt k fs with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "missing field %S" k)
-  in
-  let int_f fs k =
-    match int_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad integer in field %S" k)
-  in
-  let float_f fs k =
-    match float_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad float in field %S" k)
-  in
-  let step_of fs =
-    match get fs "step" with
-    | "inplace" -> Inplace
-    | "drain" -> Drain
-    | other -> fail (Printf.sprintf "unknown step %S" other)
-  in
-  let man_of fs =
-    match get fs "man" with
-    | "crash" -> Crash
-    | "timeout" -> Timeout
-    | "flap" -> Flap
-    | other -> fail (Printf.sprintf "unknown manifestation %S" other)
-  in
-  let kinds =
-    [ "adm"; "flapleg"; "strag"; "fail"; "done"; "bopen"; "bhalf"; "bclosed";
-      "raise"; "rfin" ]
-  in
-  try
-    let lines =
-      List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
-    in
-    match lines with
-    | magic :: cfg_line :: rest ->
-      if magic <> bundle_magic then
-        fail (Printf.sprintf "bad magic %S (want %S)" magic bundle_magic);
-      let fs = fields cfg_line in
-      let config =
-        {
-          regions = int_f fs "regions";
-          hosts_per_region = int_f fs "hosts";
-          vms_per_host = int_f fs "vms";
-          global_concurrency = int_f fs "conc";
-          straggler_factor = float_f fs "straggler";
-          breaker_window = int_f fs "window";
-          breaker_threshold = float_f fs "threshold";
-          breaker_cooldown = Sim.Time.ns (int_f fs "cooldown_ns");
-          jitter_pct = float_f fs "jitter";
-          drain_flakiness = float_f fs "drain";
-          heartbeat_every = Sim.Time.ns (int_f fs "hb_every_ns");
-          heartbeat_timeout = Sim.Time.ns (int_f fs "hb_timeout_ns");
-          realloc_lag = Sim.Time.ns (int_f fs "lag_ns");
-          seed =
-            (match Int64.of_string_opt (get fs "seed") with
-            | Some v -> v
-            | None -> fail "bad seed");
-        }
+  let module L = Sim.Lines in
+  L.decode ~magic:bundle_magic ~what:"control-plane bundle"
+    (fun lines ->
+      let l, rest =
+        match lines with
+        | l :: rest when L.keyword l = "config" -> (l, rest)
+        | _ -> raise (L.Malformed "truncated bundle (want a config line)")
       in
-      if config.regions < 1 then fail "config has no regions";
+      let config =
+        L.checked l validate_config
+          {
+            regions = L.int l "regions";
+            hosts_per_region = L.int l "hosts";
+            vms_per_host = L.int l "vms";
+            global_concurrency = L.int l "conc";
+            straggler_factor = L.float l "straggler";
+            breaker_window = L.int l "window";
+            breaker_threshold = L.float l "threshold";
+            breaker_cooldown = L.ns l "cooldown_ns";
+            jitter_pct = L.float l "jitter";
+            drain_flakiness = L.float l "drain";
+            heartbeat_every = L.ns l "hb_every_ns";
+            heartbeat_timeout = L.ns l "hb_timeout_ns";
+            realloc_lag = L.ns l "lag_ns";
+            seed = L.int64 l "seed";
+          }
+      in
+      (* The header count is checked before any region is allocated: the
+         config line alone must not size the decoder's memory. *)
+      let is_header l = L.keyword l = "region" in
+      let headers = List.length (List.filter is_header rest) in
+      if headers <> config.regions then
+        L.fail l "config names %d regions but the bundle has %d region headers"
+          config.regions headers;
       let journals =
         Array.init config.regions (fun _ -> Sim.Vec.create dummy_entry)
       in
       let current = ref (-1) in
       List.iter
-        (fun line ->
-          if String.length line > 7 && String.sub line 0 7 = "region " then begin
-            let fs = fields line in
-            let idx = int_f fs "idx" in
-            if idx < 0 || idx >= config.regions then
-              fail (Printf.sprintf "region index %d out of range" idx);
+        (fun l ->
+          if is_header l then begin
+            let idx = L.int l "idx" in
+            if idx <> !current + 1 then
+              L.fail l "region idx=%d out of order (want %d)" idx
+                (!current + 1);
             current := idx
           end
-          else if String.length line > 2 && String.sub line 0 2 = "e " then begin
-            if !current < 0 then fail "journal entry before any region header";
-            let toks = String.split_on_char ' ' line in
-            let fs = fields line in
-            let kind =
-              match List.find_opt (fun t -> List.mem t kinds) toks with
-              | Some k -> k
-              | None -> fail (Printf.sprintf "no event kind in line %S" line)
-            in
+          else begin
+            if !current < 0 then
+              L.fail l "journal entry before any region header";
+            let t = K.parse_entry ~step:step_of_string l in
             let event =
-              match kind with
-              | "adm" -> Admitted (step_of fs)
-              | "flapleg" -> Flap_failure
-              | "strag" -> Straggler_cancelled
-              | "fail" ->
-                Attempt_failed { step = step_of fs; manifestation = man_of fs }
-              | "done" -> Attempt_completed (step_of fs)
-              | "bopen" -> Breaker_opened
-              | "bhalf" -> Breaker_half_opened
-              | "bclosed" -> Breaker_closed
-              | "raise" ->
-                Limit_raised
-                  { from_region = int_f fs "from"; slots = int_f fs "slots" }
-              | "rfin" -> Region_finished
-              | _ -> assert false
+              match t.K.t_tag with
+              | K.Adm step -> Admitted step
+              | K.Flapleg -> Flap_failure
+              | K.Strag -> Straggler_cancelled
+              | K.Failed (step, manifestation) ->
+                Attempt_failed { step; manifestation }
+              | K.Done step -> Attempt_completed step
+              | K.Bopen -> Breaker_opened
+              | K.Bhalf -> Breaker_half_opened
+              | K.Bclosed -> Breaker_closed
+              | K.Own "raise" ->
+                let from_region = L.int l "from" in
+                if from_region < 0 || from_region >= config.regions then
+                  L.fail l "raise from region %d out of range" from_region;
+                Limit_raised { from_region; slots = L.int l "slots" }
+              | K.Own "rfin" -> Region_finished
+              | K.Own k -> L.fail l "unknown entry kind %S" k
             in
-            let decision =
-              match List.assoc_opt "flap" fs with
-              | Some _ ->
-                Some
-                  {
-                    d_flap = int_f fs "flap" <> 0;
-                    d_crash = int_f fs "crash" <> 0;
-                    d_timeout = int_f fs "timeout" <> 0;
-                  }
-              | None -> None
-            in
-            Sim.Vec.push
-              journals.(!current)
+            Sim.Vec.push journals.(!current)
               {
-                ce_at = Sim.Time.ns (int_f fs "at");
-                ce_host =
-                  (match get fs "host" with "-" -> None | h -> Some h);
+                ce_at = t.K.t_at;
+                ce_host = t.K.t_host;
                 ce_event = event;
-                ce_decision = decision;
-                ce_cursor = int_f fs "cursor";
+                ce_decision = t.K.t_decision;
+                ce_cursor = t.K.t_cursor;
               }
-          end
-          else fail (Printf.sprintf "unparseable line %S" line))
+          end)
         rest;
-      Ok { b_config = config; b_journals = journals }
-    | _ -> fail "truncated bundle (want magic + config lines)"
-  with Parse msg -> Error msg
+      { b_config = config; b_journals = journals })
+    s

@@ -39,13 +39,14 @@
 type config = {
   regions : int;  (** number of sub-controllers *)
   hosts_per_region : int;
+      (** [regions x hosts_per_region] is at most 1,000,000 *)
   vms_per_host : int;  (** VMs riding through each in-place upgrade *)
   global_concurrency : int;
       (** fleet-wide admission budget, split evenly across regions
           (remainder to the lowest indices) and reallocated as regions
           finish *)
   straggler_factor : float;  (** deadline = factor x expected, >= 1.2 *)
-  breaker_window : int;
+  breaker_window : int;  (** 1 to 62 *)
   breaker_threshold : float;
   breaker_cooldown : Sim.Time.t;
   jitter_pct : float;  (** success-time jitter, <= 0.1 *)
@@ -75,7 +76,7 @@ val config_of_topology : Topology.t -> config -> config
     use [Campaign.run_fleet] for ragged fleets. *)
 
 type step = Inplace | Drain
-type manifestation = Crash | Timeout | Flap
+type manifestation = Campaign_kernel.manifestation = Crash | Timeout | Flap
 
 type host_status =
   | Upgraded_inplace
@@ -150,6 +151,9 @@ val bundle_to_string : bundle -> string
     round-trips through {!bundle_of_string}. *)
 
 val bundle_of_string : string -> (bundle, string) result
+(** Inverse of {!bundle_to_string}.  The config is validated as {!run}
+    validates it, and its region count must match the bundle's region
+    headers, before any region is allocated. *)
 
 type run_result =
   | Finished of report * bundle

@@ -129,9 +129,10 @@ type faulty_timing = {
 let vms_accounted t =
   t.vms_inplace_ok + t.vms_migrated_fallback + t.vms_recovered
 
-let execute_faulty ?ctx ?fault ?(fallback_vm_ram = Hw.Units.gib 4)
+let execute_faulty ?(ctx = Hypertp.Ctx.default)
+    ?(fallback_vm_ram = Hw.Units.gib 4)
     ?(fallback_workload = Vmstate.Vm.Wl_idle) ~nic (plan : Btrplace.plan) =
-  let fault = (Hypertp.Ctx.resolve ?ctx ?fault ()).Hypertp.Ctx.fault in
+  let fault = ctx.Hypertp.Ctx.fault in
   let base = execute ~nic plan in
   let fire ~vm site =
     match fault with Some f -> Fault.fire f ~vm site | None -> false
@@ -233,7 +234,7 @@ let sweep_faulty ?(nodes = 10) ?(vms_per_node = 10) ?(seed = 0xC1A5L)
         Fault.make ~seed
           [ { Fault.site = Fault.Host_crash; trigger = Fault.Probability p } ]
       in
-      (p, execute_faulty ~fault ~nic plan))
+      (p, execute_faulty ~ctx:(Hypertp.Ctx.make ~fault ()) ~nic plan))
     probabilities
 
 let pp_timing fmt t =

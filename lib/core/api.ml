@@ -72,11 +72,5 @@ let respond_to_cve ?ctx ?options ?rng ?fault ~host ~cve_id ~mode () =
   in
   { advice; outcome }
 
-let respond_to_cve_legacy ?options ?rng ?fault ~host ~cve_id ?(apply = true) ()
-    =
-  respond_to_cve ?options ?rng ?fault ~host ~cve_id
-    ~mode:(if apply then `Apply else `Advise)
-    ()
-
 let applied_report r =
   match r.outcome with `Applied rep -> Some rep | _ -> None

@@ -34,13 +34,6 @@ val respond_to_cve :
     (site ["Api.respond_to_cve"]) on an unknown CVE id or a host
     without a hypervisor. *)
 
-val respond_to_cve_legacy :
-  ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t -> host:Hv.Host.t ->
-  cve_id:string -> ?apply:bool -> unit -> response
-(** Deprecated pre-[mode] spelling: [?apply:true] (the default) is
-    [`Apply], [false] is [`Advise].  Thin wrapper over
-    {!respond_to_cve}; produces identical responses. *)
-
 val applied_report : response -> Inplace.report option
 (** [Some report] iff the outcome is [`Applied] — convenience for
     callers that only care whether a transplant ran. *)

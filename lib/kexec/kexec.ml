@@ -35,16 +35,11 @@ let with_pram_pointer t mfn =
   { t with cmdline }
 
 let pram_pointer_of_cmdline cmdline =
-  let words = String.split_on_char ' ' cmdline in
-  List.find_map
-    (fun word ->
-      match String.index_opt word '=' with
-      | Some i when String.sub word 0 i = "pram" ->
-        let v = String.sub word (i + 1) (String.length word - i - 1) in
-        (try Some (Hw.Frame.Mfn.of_int (int_of_string v)) with
-        | Failure _ | Invalid_argument _ -> None)
-      | Some _ | None -> None)
-    words
+  match Sim.Lines.opt (Sim.Lines.make ~no:1 cmdline) "pram" with
+  | None -> None
+  | Some v -> (
+    try Some (Hw.Frame.Mfn.of_int (int_of_string v)) with
+    | Failure _ | Invalid_argument _ -> None)
 
 let clobber ~pmem t =
   (* Overwrite the image's first frame with a wrong tag — the stray-DMA

@@ -94,11 +94,19 @@ type run_result = Finished of report * journal | Crashed of journal
 
 let site = "Stream.Service"
 
+let max_years = 100.0
+let max_rate_per_year = 10_000.0
+
 let validate cfg =
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
   if cfg.years <= 0.0 then bad "years must be positive";
+  if cfg.years > max_years then
+    bad "years %g above the bound of %g" cfg.years max_years;
   if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
   if cfg.rate_per_year <= 0.0 then bad "rate_per_year must be positive";
+  if cfg.rate_per_year > max_rate_per_year then
+    bad "rate_per_year %g above the bound of %g" cfg.rate_per_year
+      max_rate_per_year;
   if cfg.tempo <= 0.0 then bad "tempo must be positive";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
   if cfg.batch_days <= 0.0 then bad "batch_days must be positive";
@@ -149,74 +157,6 @@ let config_to_line c =
     c.tempo c.concurrency c.inplace_fraction c.batch_days c.preempt c.seed
     c.track_bookings
 
-let config_of_line line =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ' ' line with
-  | "config" :: kvs ->
-    let assoc = ref [] in
-    let malformed = ref None in
-    List.iter
-      (fun kv ->
-        match String.index_opt kv '=' with
-        | Some i ->
-          assoc :=
-            ( String.sub kv 0 i,
-              String.sub kv (i + 1) (String.length kv - i - 1) )
-            :: !assoc
-        | None -> malformed := Some kv)
-      kvs;
-    (match !malformed with
-    | Some kv -> Error (Printf.sprintf "malformed config field %S" kv)
-    | None ->
-      let get k =
-        match List.assoc_opt k !assoc with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "config field %s missing" k)
-      in
-      let num conv k =
-        let* v = get k in
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "config field %s unreadable" k)
-      in
-      let f = num float_of_string_opt in
-      let i = num int_of_string_opt in
-      let b = num bool_of_string_opt in
-      let* years = f "years" in
-      let* xen_hosts = i "xen" in
-      let* kvm_hosts = i "kvm" in
-      let* bhyve_hosts = i "bhyve" in
-      let* vms_per_host = i "vph" in
-      let* rate_per_year = f "rate" in
-      let* critical_fraction = f "crit" in
-      let* coordinated_fraction = f "coord" in
-      let* policy = num Policy.kind_of_string "policy" in
-      let* tempo = f "tempo" in
-      let* concurrency = i "conc" in
-      let* inplace_fraction = f "inplace" in
-      let* batch_days = f "batch" in
-      let* preempt = b "preempt" in
-      let* seed = num Int64.of_string_opt "seed" in
-      let* track_bookings = b "track" in
-      Ok
-        {
-          years;
-          mix = { xen_hosts; kvm_hosts; bhyve_hosts };
-          vms_per_host;
-          rate_per_year;
-          critical_fraction;
-          coordinated_fraction;
-          policy;
-          tempo;
-          concurrency;
-          inplace_fraction;
-          batch_days;
-          preempt;
-          seed;
-          track_bookings;
-        })
-  | _ -> Error "missing config line"
-
 let magic = "cvestream-journal v1"
 
 let journal_to_string j =
@@ -224,16 +164,39 @@ let journal_to_string j =
     ((magic :: config_to_line j.j_config :: j.j_entries) @ [ "" ])
 
 let journal_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: cfg_line :: rest when String.equal m magic -> (
-    match config_of_line cfg_line with
-    | Error e -> Error e
-    | Ok cfg ->
-      let entries =
-        List.filter (fun l -> not (String.equal l "")) rest
-      in
-      Ok { j_config = cfg; j_entries = entries })
-  | _ -> Error "not a cvestream journal (bad magic line)"
+  let module L = Sim.Lines in
+  L.decode ~magic ~what:"cvestream journal"
+    (fun lines ->
+      match lines with
+      | l :: rest when L.words l = [ "config" ] ->
+        let j_config =
+          L.checked l validate
+            {
+              years = L.float l "years";
+              mix =
+                {
+                  xen_hosts = L.int l "xen";
+                  kvm_hosts = L.int l "kvm";
+                  bhyve_hosts = L.int l "bhyve";
+                };
+              vms_per_host = L.int l "vph";
+              rate_per_year = L.float l "rate";
+              critical_fraction = L.float l "crit";
+              coordinated_fraction = L.float l "coord";
+              policy = L.conv l "policy" Policy.kind_of_string;
+              tempo = L.float l "tempo";
+              concurrency = L.int l "conc";
+              inplace_fraction = L.float l "inplace";
+              batch_days = L.float l "batch";
+              preempt = L.bool l "preempt";
+              seed = L.int64 l "seed";
+              track_bookings = L.bool l "track";
+            }
+        in
+        { j_config; j_entries = List.map L.text rest }
+      | l :: _ -> L.fail l "malformed config line %S" (L.text l)
+      | [] -> raise (L.Malformed "missing config line"))
+    s
 
 (* {2 The run} *)
 

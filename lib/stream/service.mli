@@ -34,10 +34,10 @@ val mix_of_topology : Cluster.Topology.t -> mix
     ["Stream.Service"]) for any other region name. *)
 
 type config = {
-  years : float;
+  years : float;  (** in (0, 100] *)
   mix : mix;  (** population sizes; each must be 0 or at least 2 *)
   vms_per_host : int;
-  rate_per_year : float;  (** CVE arrivals per virtual year *)
+  rate_per_year : float;  (** CVE arrivals per virtual year, in (0, 10000] *)
   critical_fraction : float;
   coordinated_fraction : float;  (** {!Cve.Window.sample_patch_delay} *)
   policy : Policy.kind;
@@ -102,6 +102,9 @@ val journal_to_string : journal -> string
 (** Line-oriented text (for [serve --journal] / [--resume-from]). *)
 
 val journal_of_string : string -> (journal, string) result
+(** Inverse of {!journal_to_string}.  The config is validated as {!run}
+    validates it, so out-of-bounds [years] or [rate_per_year] are an
+    [Error] here rather than an unbounded resume. *)
 
 (** {1 Running} *)
 

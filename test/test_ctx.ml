@@ -100,33 +100,6 @@ let test_campaign_ctx_equivalence () =
   checkb "identical exposure" true (e_old = e_ctx);
   checks "byte-identical metrics" m_old m_ctx
 
-let test_respond_mode_equivalence () =
-  let run_mode mode =
-    let host = xen_host () in
-    let r = Hypertp.Api.respond_to_cve ~host ~cve_id:"CVE-2016-6258" ~mode () in
-    (r, Hv.Host.hypervisor_kind host)
-  in
-  let run_legacy apply =
-    let host = xen_host () in
-    let r =
-      Hypertp.Api.respond_to_cve_legacy ~host ~cve_id:"CVE-2016-6258" ~apply ()
-    in
-    (r, Hv.Host.hypervisor_kind host)
-  in
-  let r_adv, hv_adv = run_mode `Advise in
-  let r_leg_adv, hv_leg_adv = run_legacy false in
-  checkb "advise == legacy apply:false (outcome)" true
-    (r_adv.Hypertp.Api.outcome = r_leg_adv.Hypertp.Api.outcome);
-  checkb "advise == legacy apply:false (host)" true (hv_adv = hv_leg_adv);
-  checkb "advise leaves host on xen" true (hv_adv = Some Hv.Kind.Xen);
-  let r_app, hv_app = run_mode `Apply in
-  let r_leg_app, hv_leg_app = run_legacy true in
-  checkb "apply == legacy apply:true (host)" true (hv_app = hv_leg_app);
-  checkb "apply transplants" true (hv_app = Some Hv.Kind.Kvm);
-  checkb "both applied" true
-    (Hypertp.Api.applied_report r_app <> None
-    && Hypertp.Api.applied_report r_leg_app <> None)
-
 (* --- incremental exposure accounting == recomputed integral --- *)
 
 (* Fleet: the running sum kept as transplants fire must equal the
@@ -238,8 +211,6 @@ let suites =
           test_inplace_ctx_equivalence;
         Alcotest.test_case "campaign equivalence" `Quick
           test_campaign_ctx_equivalence;
-        Alcotest.test_case "respond mode equivalence" `Quick
-          test_respond_mode_equivalence;
       ] );
     ( "ctx.exposure",
       [

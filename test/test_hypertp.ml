@@ -453,16 +453,7 @@ let test_api_respond_no_apply () =
     Hypertp.Api.respond_to_cve ~host ~cve_id:"CVE-2016-6258" ~mode:`Advise ()
   in
   checkb "advice only" true (r.outcome = `Advised Hv.Kind.Kvm);
-  checkb "still xen" true (Hv.Host.hypervisor_kind host = Some Hv.Kind.Xen);
-  (* The deprecated boolean spelling maps onto the same modes. *)
-  let host' = xen_host () in
-  let r' =
-    Hypertp.Api.respond_to_cve_legacy ~host:host' ~cve_id:"CVE-2016-6258"
-      ~apply:false ()
-  in
-  checkb "legacy advice matches" true (r'.outcome = r.outcome);
-  checkb "legacy host untouched" true
-    (Hv.Host.hypervisor_kind host' = Some Hv.Kind.Xen)
+  checkb "still xen" true (Hv.Host.hypervisor_kind host = Some Hv.Kind.Xen)
 
 let test_api_respond_common_flaw () =
   (* VENOM hits both Xen and KVM; with the three-hypervisor repertoire
