@@ -199,18 +199,13 @@ type reference = {
 }
 
 let guest_frame_set vms =
-  let set = Hashtbl.create 4096 in
-  List.iter
-    (fun vm ->
-      List.iter
-        (fun (_gfn, mfn, len) ->
-          let base = Hw.Frame.Mfn.to_int mfn in
-          for i = 0 to len - 1 do
-            Hashtbl.replace set (base + i) ()
-          done)
-        (Vmstate.Guest_mem.extents vm.Vmstate.Vm.mem))
-    vms;
-  set
+  Hw.Frame.Extents.of_extents
+    (List.concat_map
+       (fun vm ->
+         List.map
+           (fun (_gfn, mfn, len) -> (mfn, len))
+           (Vmstate.Guest_mem.extents vm.Vmstate.Vm.mem))
+       vms)
 
 let reference_of_fresh_boot ?(seed = 0xA0D17L) ~machine target =
   let module T = (val target : Hv.Intf.S) in
@@ -223,7 +218,7 @@ let reference_of_fresh_boot ?(seed = 0xA0D17L) ~machine target =
   let tags = Hashtbl.create 16 in
   Hw.Pmem.iter_allocated host.Hv.Host.pmem (fun mfn tag ->
       match tag with
-      | Some t when not (Hashtbl.mem guest (Hw.Frame.Mfn.to_int mfn)) ->
+      | Some t when not (Hw.Frame.Extents.mem guest mfn) ->
         Hashtbl.replace tags t ()
       | Some _ | None -> ());
   { ref_hv = T.name;
@@ -281,7 +276,7 @@ let run ~reference ?source w =
   Hw.Pmem.iter_allocated pmem (fun mfn tag ->
       incr frames_swept;
       let frame = Hw.Frame.Mfn.to_int mfn in
-      if Hashtbl.mem guest frame then incr guest_frames
+      if Hw.Frame.Extents.mem guest mfn then incr guest_frames
       else
         match tag with
         | None -> () (* untagged: carries no recoverable content *)

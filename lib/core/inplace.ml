@@ -524,7 +524,10 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
           if List.mem n !pram_damaged then
             quarantine "PRAM file-info page failed its CRC; frames not re-reserved"
           else
-            let report = Uisr.Codec.decode_verified ~frame_ok:preserve blob in
+            let report =
+              Uisr.Codec.decode_verified
+                ~frame_ok:(Hw.Frame.Extents.mem preserve) blob
+            in
             match report.Uisr.Integrity.verdict with
             | Uisr.Integrity.Intact -> (
               match report.Uisr.Integrity.state with

@@ -25,3 +25,26 @@ end
 
 module Mfn : S
 module Gfn : S
+
+(** Immutable sets of machine frames, stored as sorted, merged
+    extents.  This is the shape in which PRAM describes the memory a
+    micro-reboot must keep (paper, section 4.2): one query answers for a
+    whole 2 MiB chunk at once. *)
+module Extents : sig
+  type t
+
+  val of_extents : (Mfn.t * int) list -> t
+  (** The union of the [(start, length)] extents, in any order;
+      overlapping and adjacent extents merge.  Raises [Invalid_argument]
+      on a negative length. *)
+
+  val of_array : (Mfn.t * int) array -> t
+  (** Like {!of_extents}, but sorts the given array in place. *)
+
+  val mem : t -> Mfn.t -> bool
+  (** O(log extents). *)
+
+  val covered : t -> Mfn.t -> int -> int
+  (** [covered t start len] counts the frames of [\[start, start+len)]
+      in the set. *)
+end

@@ -9,7 +9,28 @@
     Frames carry optional 64-bit {e content tags}.  Guest memory writes a
     tag per guest page; transplant correctness tests compare tags before
     and after the micro-reboot to verify that "Guest State is kept
-    untouched" really holds. *)
+    untouched" really holds.
+
+    {b Cost model.}  Allocation, {!free_extent} and {!reboot_reset} work
+    per 2 MiB chunk: a fully allocated chunk is one table entry, and
+    per-chunk counts of reserved and tagged frames answer "may this
+    chunk go back whole?" without looking at its frames.  The kexec
+    reclaim is O(chunks) plus one {!Frame.Extents.covered} query per
+    full chunk; only a {e mixed} chunk (partly kept, partly expendable)
+    and the frames of partially allocated chunks are walked frame by
+    frame.  Releasing a chunk untags exactly as many frames as it has
+    tagged.
+
+    {b Ordering contract.}  Which MFNs an allocation returns depends on
+    the history of calls, and every consumer that pins MFNs (the audit
+    golden's [mfn:...] subjects, the benchmark reference outputs) relies
+    on it staying the same.  Three orders are therefore part of the
+    behaviour: free chunks are reused last-in first-out, starting from
+    the seeded shuffle; {!reboot_reset} visits full chunks, and the
+    allocator searches partially allocated chunks, in the iteration
+    order of their [Hashtbl]s, which depends on the exact sequence of
+    insertions and removals.  {!iter_allocated} is independent of all
+    three: it always enumerates in ascending frame order. *)
 
 type t
 
@@ -24,10 +45,8 @@ val used_frames : t -> int
 exception Out_of_memory
 
 val alloc_frames : t -> ?align:int -> int -> Frame.Mfn.t list
-(** [alloc_frames t n] allocates [n] frames, returned as the start MFNs of
-    maximal contiguous runs would be ambiguous — instead every allocated
-    frame is listed, in address order within each chunk but with chunks
-    scattered.  [align] (default 1, in frames) must divide 512 and forces
+(** [alloc_frames t n] allocates [n] frames and lists every one of them,
+    in address order within each chunk but with chunks scattered.  [align] (default 1, in frames) must divide 512 and forces
     each contiguous run to start on that alignment; pass 512 to obtain
     2 MiB-aligned backing for huge pages.  Raises {!Out_of_memory}. *)
 
@@ -41,7 +60,8 @@ val free_extent : t -> Frame.Mfn.t -> int -> unit
 
 val reserve_extent : t -> Frame.Mfn.t -> int -> unit
 (** Mark an allocated extent as reserved (kexec image, PRAM metadata):
-    reserved frames survive {!wipe} and cannot be freed until
+    reserved frames survive {!wipe_unpreserved} and {!reboot_reset} and
+    cannot be freed until
     {!unreserve_extent}. *)
 
 val unreserve_extent : t -> Frame.Mfn.t -> int -> unit
@@ -54,17 +74,19 @@ val write : t -> Frame.Mfn.t -> int64 -> unit
 val read : t -> Frame.Mfn.t -> int64 option
 (** Content tag, if one was ever written. *)
 
-val wipe_unpreserved : t -> preserve:(Frame.Mfn.t -> bool) -> int
+val wipe_unpreserved : t -> preserve:Frame.Extents.t -> int
 (** Simulate a reboot scrubbing memory: clear the content tag of every
-    allocated frame for which [preserve] is false and which is not
-    reserved.  Returns the number of frames wiped. *)
+    allocated frame that is neither in [preserve] nor reserved.  Returns
+    the number of frames wiped. *)
 
-val reboot_reset : t -> preserve:(Frame.Mfn.t -> bool) -> int
+val reboot_reset : t -> preserve:Frame.Extents.t -> int
 (** What a kexec actually does to memory: every allocated frame that is
     neither reserved nor preserved is scrubbed {e and} returned to the
     allocator (the old hypervisor's heap, NPTs and management structures
     are reclaimed wholesale — nobody frees them politely).  Returns the
-    number of frames reclaimed. *)
+    number of frames reclaimed.  A full chunk that [preserve] does not
+    touch and that holds no reserved frame goes back whole; one that is
+    wholly preserved or wholly reserved is skipped. *)
 
 val iter_allocated : t -> (Frame.Mfn.t -> int64 option -> unit) -> unit
 (** [iter_allocated t f] calls [f mfn tag] for every currently allocated
@@ -72,5 +94,3 @@ val iter_allocated : t -> (Frame.Mfn.t -> int64 option -> unit) -> unit
     order (full chunks by chunk index, then partial-chunk frames by
     frame number) independent of allocation history hash layout.  The
     post-transplant residual audit sweeps memory with this. *)
-
-val pp_usage : Format.formatter -> t -> unit

@@ -3,9 +3,8 @@
     The target hypervisor's binaries are staged into reserved RAM ahead
     of time (workflow step 1); the jump hands control to the new kernel
     without firmware re-initialisation, scrubbing all memory except the
-    staged image and the regions a preserve predicate (built from PRAM)
-    protects.  The PRAM pointer travels on the new kernel's command
-    line. *)
+    staged image and the frame set PRAM preserves.  The PRAM pointer
+    travels on the new kernel's command line. *)
 
 type image
 
@@ -36,7 +35,7 @@ type jump_report = {
 }
 
 val execute :
-  pmem:Hw.Pmem.t -> image -> preserve:(Hw.Frame.Mfn.t -> bool) -> jump_report
+  pmem:Hw.Pmem.t -> image -> preserve:Hw.Frame.Extents.t -> jump_report
 (** Perform the jump: scrub every allocated, unpreserved, unreserved
     frame {e and} return it to the allocator.  After this, the old
     hypervisor's HV State, NPTs and management structures are gone —

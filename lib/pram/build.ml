@@ -188,36 +188,24 @@ let page_content image mfn =
   Hashtbl.find_opt image.pages (Hw.Frame.Mfn.to_int mfn)
 
 let preserve_predicate image =
-  (* Binary search over sorted (start, stop) extents: the predicate runs
-     once per allocated frame during the micro-reboot, so it must be
-     cheap even for multi-GiB guests. *)
-  let ranges =
-    List.concat_map
-      (fun f ->
-        List.map
-          (fun e ->
-            let base = Hw.Frame.Mfn.to_int e.Entry.mfn in
-            (base, base + Entry.frames e))
-          f.entries)
-      image.built_files
+  (* Filled straight into one array and sorted in place: a multi-GiB
+     guest has thousands of entries. *)
+  let n =
+    List.fold_left
+      (fun n f -> n + List.length f.entries)
+      (List.length image.extents) image.built_files
   in
-  let ranges = Array.of_list ranges in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) ranges;
-  let in_guest frame =
-    let lo = ref 0 and hi = ref (Array.length ranges - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let start, stop = ranges.(mid) in
-      if frame < start then hi := mid - 1
-      else if frame >= stop then lo := mid + 1
-      else found := true
-    done;
-    !found
+  let extents = Array.make n (Hw.Frame.Mfn.of_int 0, 0) in
+  let i = ref 0 in
+  let add e =
+    extents.(!i) <- e;
+    incr i
   in
-  fun mfn ->
-    let frame = Hw.Frame.Mfn.to_int mfn in
-    Hashtbl.mem image.pages frame || in_guest frame
+  List.iter
+    (fun f -> List.iter (fun e -> add (e.Entry.mfn, Entry.frames e)) f.entries)
+    image.built_files;
+  List.iter add image.extents;
+  Hw.Frame.Extents.of_array extents
 
 let release image ~pmem =
   List.iter

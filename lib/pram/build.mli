@@ -56,8 +56,8 @@ val page_content : image -> Hw.Frame.Mfn.t -> bytes option
 (** Read a metadata page out of the in-RAM image (what a parser running
     after kexec sees). *)
 
-val preserve_predicate : image -> Hw.Frame.Mfn.t -> bool
-(** True for frames the micro-reboot must not scrub: metadata pages and
+val preserve_predicate : image -> Hw.Frame.Extents.t
+(** The frames the micro-reboot must not scrub: metadata pages and
     every guest frame covered by an entry. *)
 
 val release : image -> pmem:Hw.Pmem.t -> unit

@@ -78,40 +78,63 @@ let map mode n f =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Shard.map: " ^ msg));
   let out = Array.make n None in
-  let run i = out.(i) <- Some (f i) in
+  (* The lowest-index failure so far.  Every schedule re-raises the one
+     Sequential would have hit first, so the error, like the result,
+     does not depend on the mode. *)
+  let failed = Atomic.make None in
+  let rec record i e =
+    match Atomic.get failed with
+    | Some (j, _) when j <= i -> ()
+    | cur -> if not (Atomic.compare_and_set failed cur (Some (i, e))) then record i e
+  in
+  let below_failure i =
+    match Atomic.get failed with Some (j, _) -> i < j | None -> true
+  in
+  (* Run task [i]; false once it has failed. *)
+  let run i =
+    match f i with
+    | v ->
+      out.(i) <- Some v;
+      true
+    | exception e ->
+      record i e;
+      false
+  in
   (match mode with
-  | Sequential -> for i = 0 to n - 1 do run i done
+  | Sequential ->
+    let i = ref 0 in
+    while !i < n && run !i do incr i done
   | Rotated k ->
     (* k rotation batches: batch r serves tasks r, r+k, r+2k, ...  A
-       different execution order from Sequential, the same results. *)
+       different execution order from Sequential, the same results.
+       After a failure only lower-index tasks still run. *)
     let k = Stdlib.min (Stdlib.max 1 k) (Stdlib.max 1 n) in
     for r = 0 to k - 1 do
       let i = ref r in
-      while !i < n do
-        run !i;
+      while !i < n && below_failure !i && run !i do
         i := !i + k
       done
     done
   | Parallel { shards; domains } ->
     (* Contiguous chunks dealt to domains through an atomic counter.
        Each result lands in its own slot, so no ordering between
-       domains is observable; [Domain.join] publishes the writes. *)
+       domains is observable; [Domain.join] publishes the writes.
+       Chunks are claimed in increasing order, so once one fails every
+       lower chunk is already claimed: workers stop dealing, finish
+       what they hold, and [record] keeps the lowest failing index. *)
     let shards = Stdlib.min (Stdlib.max 1 shards) (Stdlib.max 1 n) in
     let chunk = (n + shards - 1) / shards in
     let next = Atomic.make 0 in
-    let failed = Atomic.make None in
     let worker () =
       let continue_ = ref true in
       while !continue_ do
         let c = Atomic.fetch_and_add next 1 in
-        if c >= shards || Atomic.get failed <> None then continue_ := false
-        else
-          let lo = c * chunk and hi = Stdlib.min n ((c + 1) * chunk) in
-          try
-            for i = lo to hi - 1 do
-              run i
-            done
-          with e -> ignore (Atomic.compare_and_set failed None (Some e))
+        if c >= shards || Option.is_some (Atomic.get failed) then
+          continue_ := false
+        else begin
+          let i = ref (c * chunk) and hi = Stdlib.min n ((c + 1) * chunk) in
+          while !i < hi && run !i do incr i done
+        end
       done
     in
     let workers = Stdlib.min (Stdlib.max 1 domains) shards in
@@ -120,8 +143,8 @@ let map mode n f =
       let doms = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
       worker ();
       Array.iter Domain.join doms
-    end;
-    (match Atomic.get failed with Some e -> raise e | None -> ()));
+    end);
+  Option.iter (fun (_, e) -> raise e) (Atomic.get failed);
   Array.map
     (function
       | Some v -> v

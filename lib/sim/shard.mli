@@ -15,7 +15,8 @@
       contiguous chunks, dealt to [domains] stdlib domains through an
       atomic counter.
 
-    Exceptions raised by a task are re-raised in the calling domain
+    If tasks raise, the calling domain re-raises the exception of the
+    lowest-index failing task under every mode, as [Sequential] does
     (parallel workers stop dealing new chunks once one failed). *)
 
 type mode =

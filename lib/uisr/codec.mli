@@ -63,7 +63,7 @@ val decode_verified :
   ?frame_ok:(Hw.Frame.Mfn.t -> bool) -> bytes -> Integrity.report
 (** The salvage decoder.  Classifies the blob (see {!Integrity.verdict})
     and returns decoded state whenever the VM can still resume.  Never
-    raises.  [frame_ok] (typically [Pram.Build.preserve_predicate])
+    raises.  [frame_ok] (typically membership in [Pram.Build.preserve_predicate])
     lets the semantic pass check that every mapped machine frame
     survives in the PRAM-preserved frame map. *)
 

@@ -158,9 +158,9 @@ let test_kexec_two_images_coexist () =
   let b = Kexec.load ~pmem ~kernel:"xen" ~size:(Hw.Units.mib 2) ~cmdline:"" in
   (* Executing a's jump must not clobber b's staged image (both are
      reserved). *)
-  let report = Kexec.execute ~pmem a ~preserve:(fun _ -> false) in
+  let report = Kexec.execute ~pmem a ~preserve:(Hw.Frame.Extents.of_extents []) in
   checkb "a intact" true report.Kexec.image_intact;
-  let report_b = Kexec.execute ~pmem b ~preserve:(fun _ -> false) in
+  let report_b = Kexec.execute ~pmem b ~preserve:(Hw.Frame.Extents.of_extents []) in
   checkb "b intact" true report_b.Kexec.image_intact;
   Kexec.unload ~pmem a;
   Kexec.unload ~pmem b

@@ -39,6 +39,31 @@ let test_frame_typed () =
     (Invalid_argument "gfn.of_int: negative") (fun () ->
       ignore (Hw.Frame.Gfn.of_int (-1)))
 
+(* Unsorted, overlapping, adjacent and empty extents merge into
+   [10, 25) and [40, 41). *)
+let test_frame_extents () =
+  let m = Hw.Frame.Mfn.of_int in
+  let set =
+    Hw.Frame.Extents.of_extents
+      [ (m 20, 5); (m 40, 1); (m 10, 6); (m 16, 4); (m 30, 0); (m 12, 2) ]
+  in
+  List.iter
+    (fun (f, want) ->
+      checkb (Printf.sprintf "mem %d" f) want (Hw.Frame.Extents.mem set (m f)))
+    [ (9, false); (10, true); (19, true); (24, true); (25, false);
+      (30, false); (39, false); (40, true); (41, false) ];
+  List.iter
+    (fun (s, l, want) ->
+      checki (Printf.sprintf "covered [%d,+%d)" s l) want
+        (Hw.Frame.Extents.covered set (m s) l))
+    [ (0, 10, 0); (0, 11, 1); (12, 3, 3); (20, 30, 6); (0, 100, 16);
+      (25, 15, 0); (41, 5, 0) ];
+  checki "empty set" 0
+    (Hw.Frame.Extents.covered (Hw.Frame.Extents.of_extents []) (m 0) 512);
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Extents: negative length") (fun () ->
+      ignore (Hw.Frame.Extents.of_extents [ (m 1, -1) ]))
+
 (* --- Pmem --- *)
 
 let mk_pmem ?(frames = 512 * 64) () = Hw.Pmem.create ~frames ()
@@ -115,10 +140,9 @@ let test_pmem_wipe_semantics () =
   let lose = Hw.Pmem.alloc_frames p 5 in
   List.iter (fun m -> Hw.Pmem.write p m 1L) keep;
   List.iter (fun m -> Hw.Pmem.write p m 2L) lose;
-  let keep_set = List.map Hw.Frame.Mfn.to_int keep in
   let wiped =
-    Hw.Pmem.wipe_unpreserved p ~preserve:(fun m ->
-        List.mem (Hw.Frame.Mfn.to_int m) keep_set)
+    Hw.Pmem.wipe_unpreserved p
+      ~preserve:(Hw.Frame.Extents.of_extents (List.map (fun m -> (m, 1)) keep))
   in
   checki "wiped count" 5 wiped;
   List.iter
@@ -139,10 +163,10 @@ let test_pmem_reboot_reset () =
   let doomed = Hw.Pmem.alloc_frames p 16 in
   List.iter (fun m -> Hw.Pmem.write p m 7L) (preserved @ reserved @ doomed);
   List.iter (fun m -> Hw.Pmem.reserve_extent p m 1) reserved;
-  let pset = List.map Hw.Frame.Mfn.to_int preserved in
   let reclaimed =
-    Hw.Pmem.reboot_reset p ~preserve:(fun m ->
-        List.mem (Hw.Frame.Mfn.to_int m) pset)
+    Hw.Pmem.reboot_reset p
+      ~preserve:
+        (Hw.Frame.Extents.of_extents (List.map (fun m -> (m, 1)) preserved))
   in
   checki "reclaimed only the doomed" 16 reclaimed;
   List.iter
@@ -231,6 +255,143 @@ let prop_pmem_alloc_free_idempotent =
         all;
       Hw.Pmem.free_frames p = before)
 
+(* Chunk-granular [free_extent] and [reboot_reset] against a naive
+   per-frame model.  A random history of alloc / reserve / write / free
+   (whole and partial frees, and refused frees of reserved frames) runs
+   on both; then a random extent set drives the reset.  The set mixes
+   arbitrary extents, whole chunks, extents straddling a chunk boundary
+   and exact copies of live (possibly reserved) extents. *)
+let prop_pmem_reclaim_model =
+  let chunks = 16 in
+  let total = 512 * chunks in
+  QCheck.Test.make ~count:200
+    ~name:"chunk-granular reclaim matches a per-frame model"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 40)
+           (pair (int_range 0 4) (int_range 0 1_000_000)))
+        (list_of_size (Gen.int_range 0 8)
+           (pair (int_range 0 3) (int_range 0 1_000_000))))
+    (fun (ops, set_spec) ->
+      let p = Hw.Pmem.create ~frames:total () in
+      let alloc = Array.make total false and res = Array.make total false in
+      let tag = Array.make total None in
+      (* Live extents: (start, length, reserved sub-range). *)
+      let live = ref [||] in
+      let mfn = Hw.Frame.Mfn.of_int in
+      let pick r = (!live).(r mod Array.length !live) in
+      let replace_live i e = (!live).(i mod Array.length !live) <- e in
+      let drop_live i =
+        let i = i mod Array.length !live in
+        live :=
+          Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list !live))
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let free_chunks () =
+        let n = ref 0 in
+        for c = 0 to chunks - 1 do
+          if not (Array.exists Fun.id (Array.sub alloc (c * 512) 512)) then incr n
+        done;
+        !n
+      in
+      let do_op (kind, r) =
+        if kind = 0 || Array.length !live = 0 then begin
+          let n = 1 + (r mod 1100) and align = if r mod 3 = 0 then 512 else 1 in
+          (* Ask only for what fresh chunks can hold, so no allocation
+             runs out half-way. *)
+          if (n / 512) + 2 <= free_chunks () then
+            List.iter
+              (fun (s, l) ->
+                for f = Hw.Frame.Mfn.to_int s to Hw.Frame.Mfn.to_int s + l - 1 do
+                  if alloc.(f) then fail "frame %d handed out twice" f;
+                  alloc.(f) <- true
+                done;
+                live := Array.append !live [| (Hw.Frame.Mfn.to_int s, l, None) |])
+              (Hw.Pmem.alloc_extents p ~align n)
+        end
+        else
+          let s, l, rsv = pick r in
+          let a = r mod l in
+          let b = 1 + (r / 7 mod (l - a)) in
+          match (kind, rsv) with
+          | 1, None ->
+            Hw.Pmem.reserve_extent p (mfn (s + a)) b;
+            for f = s + a to s + a + b - 1 do res.(f) <- true done;
+            replace_live r (s, l, Some (s + a, b))
+          | 2, _ ->
+            for f = s + a to s + a + b - 1 do
+              let v = Int64.of_int (r + f) in
+              Hw.Pmem.write p (mfn f) v;
+              tag.(f) <- Some v
+            done
+          | 3, None ->
+            (* Free the whole extent, or its first [b] frames. *)
+            let b = if r mod 2 = 0 then l else b in
+            Hw.Pmem.free_extent p (mfn s) b;
+            for f = s to s + b - 1 do
+              alloc.(f) <- false;
+              tag.(f) <- None
+            done;
+            if b = l then drop_live r else replace_live r (s + b, l - b, None)
+          | _, Some (rs, rl) ->
+            (match Hw.Pmem.free_extent p (mfn s) l with
+            | () -> fail "freed reserved frames at %d" s
+            | exception Invalid_argument _ -> ());
+            Hw.Pmem.unreserve_extent p (mfn rs) rl;
+            for f = rs to rs + rl - 1 do res.(f) <- false done;
+            replace_live r (s, l, None)
+          | _, None -> ()
+      in
+      let check what ~allocated =
+        let used = ref 0 in
+        for f = 0 to total - 1 do
+          let m = mfn f in
+          if allocated f then incr used;
+          if Hw.Pmem.is_allocated p m <> allocated f then
+            fail "%s: frame %d allocated=%b" what f (Hw.Pmem.is_allocated p m);
+          if Hw.Pmem.is_reserved p m <> res.(f) then
+            fail "%s: frame %d reserved mismatch" what f;
+          let want = if allocated f then tag.(f) else None in
+          if Hw.Pmem.read p m <> want then fail "%s: frame %d tag mismatch" what f
+        done;
+        if Hw.Pmem.used_frames p <> !used then
+          fail "%s: used %d, model %d" what (Hw.Pmem.used_frames p) !used;
+        if Hw.Pmem.free_frames p + Hw.Pmem.used_frames p <> total then
+          fail "%s: free + used <> total" what
+      in
+      List.iter do_op ops;
+      check "history" ~allocated:(fun f -> alloc.(f));
+      let set =
+        List.map
+          (fun (kind, r) ->
+            match kind with
+            | 0 -> (r mod total, 1 + (r / total mod 1200))
+            | 1 -> (r mod chunks * 512, 512 * (1 + (r / chunks mod 2)))
+            | 2 ->
+              let into = 1 + (r mod 300) in
+              ((1 + (r / 300 mod (chunks - 1))) * 512 - into,
+               into + 1 + (r / 5000 mod 300))
+            | _ when Array.length !live = 0 -> (0, 0)
+            | _ ->
+              let s, l, _ = pick r in
+              (s, l))
+          set_spec
+      in
+      let preserved f = List.exists (fun (s, l) -> f >= s && f < s + l) set in
+      let kept f = alloc.(f) && (res.(f) || preserved f) in
+      let used_before = Hw.Pmem.used_frames p in
+      let reclaimed =
+        Hw.Pmem.reboot_reset p
+          ~preserve:
+            (Hw.Frame.Extents.of_extents
+               (List.map (fun (s, l) -> (mfn s, l)) set))
+      in
+      check "reset" ~allocated:kept;
+      if reclaimed <> used_before - Hw.Pmem.used_frames p then
+        fail "reclaimed %d, used fell by %d" reclaimed
+          (used_before - Hw.Pmem.used_frames p);
+      true)
+
 (* --- Cpu / Nic / Machine --- *)
 
 let test_cpu () =
@@ -276,7 +437,11 @@ let suites =
         Alcotest.test_case "rounding" `Quick test_units_rounding;
         Alcotest.test_case "float conversions" `Quick test_units_to_float;
       ] );
-    ("hw.frame", [ Alcotest.test_case "typed frames" `Quick test_frame_typed ]);
+    ( "hw.frame",
+      [
+        Alcotest.test_case "typed frames" `Quick test_frame_typed;
+        Alcotest.test_case "extent sets" `Quick test_frame_extents;
+      ] );
     ( "hw.pmem",
       [
         Alcotest.test_case "alloc/free counts" `Quick test_pmem_alloc_free_counts;
@@ -291,6 +456,8 @@ let suites =
         Alcotest.test_case "reboot reset reclaims" `Quick test_pmem_reboot_reset;
         qtest prop_pmem_alloc_free_idempotent;
         qtest prop_pmem_random_ops;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
+          prop_pmem_reclaim_model;
       ] );
     ( "hw.machine",
       [

@@ -42,10 +42,9 @@ let test_execute_wipes_and_preserves () =
   List.iter (fun m -> Hw.Pmem.write pmem m 1L) keep;
   List.iter (fun m -> Hw.Pmem.write pmem m 2L) lose;
   let img = Kexec.load ~pmem ~kernel:"kvm" ~size:(Hw.Units.kib 64) ~cmdline:"" in
-  let keep_set = List.map Hw.Frame.Mfn.to_int keep in
   let report =
-    Kexec.execute ~pmem img ~preserve:(fun m ->
-        List.mem (Hw.Frame.Mfn.to_int m) keep_set)
+    Kexec.execute ~pmem img
+      ~preserve:(Hw.Frame.Extents.of_extents (List.map (fun m -> (m, 1)) keep))
   in
   checki "wiped the rest" 10 report.Kexec.frames_wiped;
   checkb "image intact" true report.Kexec.image_intact;
@@ -75,7 +74,7 @@ let test_execute_detects_image_clobber () =
     Option.get !found
   in
   Hw.Pmem.write pmem victim 0xBAD0BAD0L;
-  let report = Kexec.execute ~pmem img ~preserve:(fun _ -> false) in
+  let report = Kexec.execute ~pmem img ~preserve:(Hw.Frame.Extents.of_extents []) in
   checkb "clobbered image detected" false report.Kexec.image_intact
 
 let test_unload_frees () =
@@ -89,7 +88,7 @@ let test_unload_frees () =
 let test_image_survives_own_jump () =
   let pmem = mk_pmem () in
   let img = Kexec.load ~pmem ~kernel:"xen" ~size:(Hw.Units.mib 4) ~cmdline:"" in
-  let report = Kexec.execute ~pmem img ~preserve:(fun _ -> false) in
+  let report = Kexec.execute ~pmem img ~preserve:(Hw.Frame.Extents.of_extents []) in
   checkb "reserved image not wiped" true report.Kexec.image_intact
 
 let suites =

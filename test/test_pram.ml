@@ -177,7 +177,7 @@ let test_parse_wrong_pointer () =
 
 let test_preserve_predicate_covers () =
   let _, mems, image = build_setup () in
-  let preserve = Pram.Build.preserve_predicate image in
+  let preserve = Hw.Frame.Extents.mem (Pram.Build.preserve_predicate image) in
   List.iter
     (fun (_, mem) ->
       for i = 0 to Vmstate.Guest_mem.page_count mem - 1 do

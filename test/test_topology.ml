@@ -151,6 +151,30 @@ let test_shard_mode_strings () =
   checkb "bad mode validates" true
     (Result.is_error (Sim.Shard.validate (Sim.Shard.Rotated 0)))
 
+exception Task_failed of int
+
+(* Tasks k..n-1 each raise their own exception.  Task k is slow to fail,
+   so under [Parallel] a higher chunk usually fails first in real time;
+   every mode must still re-raise task k's exception, as [Sequential]
+   does.  ([Rotated 3] reaches task 9 before task 7.) *)
+let test_shard_lowest_failure () =
+  let n = 20 and k = 7 in
+  let f i =
+    if i = k then
+      for _ = 1 to 2_000_000 do
+        ignore (Sys.opaque_identity i)
+      done;
+    if i >= k then raise (Task_failed i);
+    i
+  in
+  List.iter
+    (fun m ->
+      match Sim.Shard.map m n f with
+      | _ -> Alcotest.failf "%s: no exception" (Sim.Shard.to_string m)
+      | exception Task_failed i -> checki (Sim.Shard.to_string m) k i)
+    [ Sim.Shard.Sequential; Sim.Shard.Rotated 3;
+      Sim.Shard.Parallel { shards = 4; domains = 2 } ]
+
 (* --- schedule-independence of the sharded fleet --- *)
 
 let fleet_snap ?fault ~sharding tp cfg =
@@ -267,6 +291,8 @@ let suites =
       [
         Alcotest.test_case "ctx sharding knob" `Quick test_ctx_sharding;
         Alcotest.test_case "mode strings" `Quick test_shard_mode_strings;
+        Alcotest.test_case "lowest-index failure re-raised" `Quick
+          test_shard_lowest_failure;
         Alcotest.test_case "fleet report consistency" `Quick
           test_fleet_report_consistency;
         Alcotest.test_case "mode identity (qcheck)" `Slow
