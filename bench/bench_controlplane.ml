@@ -84,26 +84,24 @@ let run_once ~label ~extra () =
     CP.merged_to_string b )
 
 let emit points identical =
-  let oc = open_out "BENCH_controlplane.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"controlplane\",\n  \"hosts\": %d,\n  \
-     \"regions\": %d,\n  \"vms_per_host\": %d,\n  \
-     \"global_concurrency\": %d,\n  \"crash_byte_identical\": %b,\n  \
-     \"points\": [\n"
-    hosts regions vms_per_host config.CP.global_concurrency identical;
-  List.iteri
-    (fun i p ->
-      Printf.fprintf oc
-        "    {\"label\": \"%s\", \"wall_clock_s\": %.3f, \"minor_words\": \
-         %.0f, \"entries\": %d, \"subctl_restarts\": %d, \
-         \"exposed_host_hours\": %.4f, \"sim_wall_clock_s\": %.3f}%s\n"
-        p.p_label p.p_wall_s p.p_minor_words p.p_entries p.p_restarts
-        p.p_exposed_hh p.p_sim_wall_s
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_controlplane.json@."
+  write_bench_json ~full:true "BENCH_controlplane.json" (fun oc ->
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"controlplane\",\n  \"hosts\": %d,\n  \
+       \"regions\": %d,\n  \"vms_per_host\": %d,\n  \
+       \"global_concurrency\": %d,\n  \"crash_byte_identical\": %b,\n  \
+       \"points\": [\n"
+      hosts regions vms_per_host config.CP.global_concurrency identical;
+    List.iteri
+      (fun i p ->
+        Printf.fprintf oc
+          "    {\"label\": \"%s\", \"wall_clock_s\": %.3f, \"minor_words\": \
+           %.0f, \"entries\": %d, \"subctl_restarts\": %d, \
+           \"exposed_host_hours\": %.4f, \"sim_wall_clock_s\": %.3f}%s\n"
+          p.p_label p.p_wall_s p.p_minor_words p.p_entries p.p_restarts
+          p.p_exposed_hh p.p_sim_wall_s
+          (if i = List.length points - 1 then "" else ","))
+      points;
+    Printf.fprintf oc "  ]\n}\n")
 
 let run () =
   header

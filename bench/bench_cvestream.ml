@@ -7,8 +7,9 @@
    baselines on exposed host-hours, and pins determinism by running the
    cost-aware point twice.
 
-   Emits BENCH_cvestream.json (consumed by the cvestream-smoke CI job).
-   Accepts --hosts/--tempo/--conc/--rate/--years for a small CI mode. *)
+   Emits BENCH_cvestream.json.  Accepts --hosts/--tempo/--conc/--rate/
+   --years for a small mode, which writes _build/BENCH_cvestream.json
+   instead (checked by the cvestream-smoke CI job). *)
 
 open Bench_util
 
@@ -84,27 +85,25 @@ let deterministic k =
   snap () = snap ()
 
 let emit k points deterministic_checked =
-  let oc = open_out "BENCH_cvestream.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"cvestream\",\n  \"hosts\": %d,\n  \
-     \"vms_per_host\": %d,\n  \"years\": %.1f,\n  \"rate_per_year\": %.1f,\n  \
-     \"tempo\": %.1f,\n  \"concurrency\": %d,\n  \"seed\": %Ld,\n  \
-     \"deterministic\": %b,\n  \"policies\": [\n"
-    k.k_hosts k.k_vms_per_host k.k_years k.k_rate k.k_tempo k.k_conc seed
-    deterministic_checked;
-  List.iteri
-    (fun i p ->
-      Printf.fprintf oc
-        "    {\"policy\": \"%s\", \"exposed_host_hours\": %.4f, \"cves\": \
-         %d, \"campaigns\": %d, \"uncovered_critical\": %d, \
-         \"wall_clock_s\": %.3f}%s\n"
-        (Stream.Policy.kind_to_string p.p_policy)
-        p.p_exposed_hh p.p_cves p.p_campaigns p.p_uncovered p.p_wall_s
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_cvestream.json@."
+  write_bench_json ~full:(k = default_knobs) "BENCH_cvestream.json" (fun oc ->
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"cvestream\",\n  \"hosts\": %d,\n  \
+       \"vms_per_host\": %d,\n  \"years\": %.1f,\n  \"rate_per_year\": %.1f,\n  \
+       \"tempo\": %.1f,\n  \"concurrency\": %d,\n  \"seed\": %Ld,\n  \
+       \"deterministic\": %b,\n  \"policies\": [\n"
+      k.k_hosts k.k_vms_per_host k.k_years k.k_rate k.k_tempo k.k_conc seed
+      deterministic_checked;
+    List.iteri
+      (fun i p ->
+        Printf.fprintf oc
+          "    {\"policy\": \"%s\", \"exposed_host_hours\": %.4f, \"cves\": \
+           %d, \"campaigns\": %d, \"uncovered_critical\": %d, \
+           \"wall_clock_s\": %.3f}%s\n"
+          (Stream.Policy.kind_to_string p.p_policy)
+          p.p_exposed_hh p.p_cves p.p_campaigns p.p_uncovered p.p_wall_s
+          (if i = List.length points - 1 then "" else ","))
+      points;
+    Printf.fprintf oc "  ]\n}\n")
 
 let run ?(knobs = default_knobs) () =
   header

@@ -459,29 +459,27 @@ let campaign () =
         (count Cluster.Campaign.Deferred_exposed))
     results;
   (* Machine-readable trajectory point for CI. *)
-  let oc = open_out "BENCH_campaign.json" in
-  let cfg = Cluster.Campaign.default_config in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"campaign\",\n  \"nodes\": %d,\n  \
-     \"vms_per_node\": %d,\n  \"concurrency\": %d,\n  \"points\": [\n"
-    cfg.Cluster.Campaign.nodes cfg.Cluster.Campaign.vms_per_node
-    cfg.Cluster.Campaign.concurrency;
-  List.iteri
-    (fun i (p, (r : Cluster.Campaign.report)) ->
-      Printf.fprintf oc
-        "    {\"probability\": %g, \"wall_clock_s\": %.3f, \
-         \"exposed_host_hours\": %.4f, \"breaker_trips\": %d, \
-         \"deferred_hosts\": %d}%s\n"
-        p
-        (Sim.Time.to_sec_f r.Cluster.Campaign.wall_clock)
-        r.Cluster.Campaign.exposed_host_hours
-        r.Cluster.Campaign.breaker_trips
-        (List.length r.Cluster.Campaign.deferred)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_campaign.json@."
+  write_bench_json ~full:true "BENCH_campaign.json" (fun oc ->
+    let cfg = Cluster.Campaign.default_config in
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"campaign\",\n  \"nodes\": %d,\n  \
+       \"vms_per_node\": %d,\n  \"concurrency\": %d,\n  \"points\": [\n"
+      cfg.Cluster.Campaign.nodes cfg.Cluster.Campaign.vms_per_node
+      cfg.Cluster.Campaign.concurrency;
+    List.iteri
+      (fun i (p, (r : Cluster.Campaign.report)) ->
+        Printf.fprintf oc
+          "    {\"probability\": %g, \"wall_clock_s\": %.3f, \
+           \"exposed_host_hours\": %.4f, \"breaker_trips\": %d, \
+           \"deferred_hosts\": %d}%s\n"
+          p
+          (Sim.Time.to_sec_f r.Cluster.Campaign.wall_clock)
+          r.Cluster.Campaign.exposed_host_hours
+          r.Cluster.Campaign.breaker_trips
+          (List.length r.Cluster.Campaign.deferred)
+          (if i = List.length results - 1 then "" else ","))
+      results;
+    Printf.fprintf oc "  ]\n}\n")
 
 (* --- ablations (section 4.2.5) --- *)
 

@@ -11,7 +11,9 @@
    region journals plus fleet digests must agree byte-for-byte — the
    sharding mode may only trade wall-clock, never results.
 
-   Emits BENCH_scale.json (consumed by the scale-smoke CI job). *)
+   Emits BENCH_scale.json from the full default sweep; a --hosts/--mode
+   run writes _build/BENCH_scale.json instead (checked by the
+   scale-smoke CI job). *)
 
 open Bench_util
 
@@ -89,30 +91,29 @@ let deterministic hosts =
   in
   seq = rot && rot = par
 
-let emit points deterministic_checked =
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"scale\",\n  \"vms_per_host\": %d,\n  \
-     \"deterministic\": %b,\n  \"points\": [\n"
-    vms_per_host deterministic_checked;
-  List.iteri
-    (fun i p ->
-      Printf.fprintf oc
-        "    {\"hosts\": %d, \"regions\": %d, \"mode\": \"%s\", \
-         \"shards\": %d, \"domains\": %d, \"wall_clock_s\": %.3f, \
-         \"minor_words\": %.0f, \"events\": %d, \
-         \"exposed_host_hours\": %.4f, \"sim_wall_clock_s\": %.3f}%s\n"
-        p.p_hosts p.p_regions
-        (Sim.Shard.to_string p.p_mode)
-        p.p_shards p.p_domains p.p_wall_s p.p_minor_words p.p_events
-        p.p_exposed_hh p.p_sim_wall_s
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_scale.json@."
+let emit ~full points deterministic_checked =
+  write_bench_json ~full:full "BENCH_scale.json" (fun oc ->
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"scale\",\n  \"vms_per_host\": %d,\n  \
+       \"deterministic\": %b,\n  \"points\": [\n"
+      vms_per_host deterministic_checked;
+    List.iteri
+      (fun i p ->
+        Printf.fprintf oc
+          "    {\"hosts\": %d, \"regions\": %d, \"mode\": \"%s\", \
+           \"shards\": %d, \"domains\": %d, \"wall_clock_s\": %.3f, \
+           \"minor_words\": %.0f, \"events\": %d, \
+           \"exposed_host_hours\": %.4f, \"sim_wall_clock_s\": %.3f}%s\n"
+          p.p_hosts p.p_regions
+          (Sim.Shard.to_string p.p_mode)
+          p.p_shards p.p_domains p.p_wall_s p.p_minor_words p.p_events
+          p.p_exposed_hh p.p_sim_wall_s
+          (if i = List.length points - 1 then "" else ","))
+      points;
+    Printf.fprintf oc "  ]\n}\n")
 
 let run ?(sizes = default_sizes) ?mode () =
+  let full = sizes = default_sizes && mode = None in
   header "Fleet-scale campaign engine (hosts -> wall-clock / allocation)";
   Format.printf "%-9s %-8s %-14s %-10s %-14s %-9s %-12s %s@." "hosts"
     "regions" "mode" "wall(s)" "minor-words" "events" "exposed-hh" "sim-wall";
@@ -148,4 +149,4 @@ let run ?(sizes = default_sizes) ?mode () =
     end;
     note "byte-identical journals and digests across all three modes@."
   end;
-  emit points check_determinism
+  emit ~full points check_determinism

@@ -20,8 +20,8 @@
       downtime with wire bytes, a tighter budget pushes hosts down to
       classic and then to defer.
 
-   Emits BENCH_shadow.json (consumed by the shadow-fault-sweep CI
-   job). *)
+   Emits BENCH_shadow.json at the default 200 hosts; any other --hosts
+   writes _build/BENCH_shadow.json instead. *)
 
 open Bench_util
 
@@ -140,30 +140,28 @@ let frontier ~hosts pair =
     spares
 
 let emit ~hosts pair points =
-  let oc = open_out "BENCH_shadow.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"shadow\",\n  \"hosts\": %d,\n  \
-     \"vms_per_host\": %d,\n  \"inplace_fraction\": %.2f,\n  \"pair\": \
-     {\"shadow_downtime_s\": %.6f, \"classic_downtime_s\": %.6f, \
-     \"downtime_ratio\": %.4f, \"shadow_wire_bytes\": %d, \
-     \"classic_wire_bytes\": %d},\n  \"frontier\": [\n"
-    hosts vms_per_host inplace_fraction pair.shadow_downtime_s
-    pair.classic_downtime_s pair.downtime_ratio pair.shadow_wire_bytes
-    pair.classic_wire_bytes;
-  List.iteri
-    (fun i p ->
-      Printf.fprintf oc
-        "    {\"spares\": %d, \"wire_budget_bytes\": %s, \"inplace\": %d, \
-         \"shadow\": %d, \"migrate\": %d, \"defer\": %d, \
-         \"wire_total_bytes\": %d, \"max_migration_downtime_s\": %.6f}%s\n"
-        p.f_spares
-        (match p.f_budget with None -> "null" | Some b -> string_of_int b)
-        p.f_inplace p.f_shadow p.f_migrate p.f_defer p.f_wire p.f_downtime_s
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_shadow.json@."
+  write_bench_json ~full:(hosts = default_hosts) "BENCH_shadow.json" (fun oc ->
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"shadow\",\n  \"hosts\": %d,\n  \
+       \"vms_per_host\": %d,\n  \"inplace_fraction\": %.2f,\n  \"pair\": \
+       {\"shadow_downtime_s\": %.6f, \"classic_downtime_s\": %.6f, \
+       \"downtime_ratio\": %.4f, \"shadow_wire_bytes\": %d, \
+       \"classic_wire_bytes\": %d},\n  \"frontier\": [\n"
+      hosts vms_per_host inplace_fraction pair.shadow_downtime_s
+      pair.classic_downtime_s pair.downtime_ratio pair.shadow_wire_bytes
+      pair.classic_wire_bytes;
+    List.iteri
+      (fun i p ->
+        Printf.fprintf oc
+          "    {\"spares\": %d, \"wire_budget_bytes\": %s, \"inplace\": %d, \
+           \"shadow\": %d, \"migrate\": %d, \"defer\": %d, \
+           \"wire_total_bytes\": %d, \"max_migration_downtime_s\": %.6f}%s\n"
+          p.f_spares
+          (match p.f_budget with None -> "null" | Some b -> string_of_int b)
+          p.f_inplace p.f_shadow p.f_migrate p.f_defer p.f_wire p.f_downtime_s
+          (if i = List.length points - 1 then "" else ","))
+      points;
+    Printf.fprintf oc "  ]\n}\n")
 
 let run ?(hosts = default_hosts) () =
   note "== shadow-host cutover: downtime vs spares vs wire ==@.";

@@ -23,6 +23,16 @@ let subheader title = Format.printf "@.--- %s ---@." title
 
 let note fmt = Format.printf fmt
 
+(* Write one BENCH_*.json document through [emit].  Only a run at the
+   full default size writes the committed file at the repository root;
+   a run with a size override (the CI smoke modes) writes under _build/,
+   so a smoke run never replaces committed numbers with its own. *)
+let write_bench_json ~full name emit =
+  let path = if full then name else Filename.concat "_build" name in
+  if not (full || Sys.file_exists "_build") then Sys.mkdir "_build" 0o755;
+  Out_channel.with_open_text path emit;
+  note "wrote %s@." path
+
 let vm_config ?(name = "vm0") ?(vcpus = 1) ?(gib = 1) ?(workload = Vmstate.Vm.Wl_idle) () =
   Vmstate.Vm.config ~name ~vcpus ~ram:(Hw.Units.gib gib) ~workload ()
 

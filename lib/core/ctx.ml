@@ -12,10 +12,6 @@ type audit_config = { audit_scrub : bool }
 
 let audit_default = { audit_scrub = true }
 
-type shadow_config = { shadow_ladder : bool }
-
-let shadow_default = { shadow_ladder = true }
-
 type sharding = Sim.Shard.mode =
   | Sequential
   | Rotated of int
@@ -30,9 +26,6 @@ type t = {
   audit : audit_config option;
       (** [Some _] arms the post-commit residual audit; [None] (the
           default) skips it, keeping default runs byte-identical *)
-  shadow : shadow_config option;
-      (** shadow-host cutover policy; [None] means the engine default
-          ({!shadow_default}: the degradation ladder enabled) *)
   sharding : sharding;
       (** region-shard schedule for fleet-level entry points;
           [Sequential] (the default) is what every legacy entry point
@@ -42,23 +35,17 @@ type t = {
 
 let default =
   { options = Options.default; rng = None; fault = None; obs = None;
-    metrics = None; audit = None; shadow = None; sharding = Sequential }
+    metrics = None; audit = None; sharding = Sequential }
 
-let make ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit ?shadow
+let make ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
     ?(sharding = Sequential) () =
-  { options; rng; fault; obs; metrics; audit; shadow; sharding }
+  { options; rng; fault; obs; metrics; audit; sharding }
 
-let with_options options t = { t with options }
 let with_rng rng t = { t with rng = Some rng }
 let with_fault fault t = { t with fault = Some fault }
-let with_obs obs t = { t with obs = Some obs }
-let with_metrics metrics t = { t with metrics = Some metrics }
-let with_audit audit t = { t with audit = Some audit }
-let with_shadow shadow t = { t with shadow = Some shadow }
 let with_sharding sharding t = { t with sharding }
 
-let resolve ?ctx ?options ?rng ?fault ?obs ?metrics ?audit ?shadow ?sharding ()
-    =
+let resolve ?ctx ?options ?rng ?fault ?obs ?metrics ?audit ?sharding () =
   let base = match ctx with Some c -> c | None -> default in
   {
     options = (match options with Some o -> o | None -> base.options);
@@ -67,6 +54,5 @@ let resolve ?ctx ?options ?rng ?fault ?obs ?metrics ?audit ?shadow ?sharding ()
     obs = (match obs with Some _ -> obs | None -> base.obs);
     metrics = (match metrics with Some _ -> metrics | None -> base.metrics);
     audit = (match audit with Some _ -> audit | None -> base.audit);
-    shadow = (match shadow with Some _ -> shadow | None -> base.shadow);
     sharding = (match sharding with Some s -> s | None -> base.sharding);
   }

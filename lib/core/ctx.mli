@@ -1,18 +1,25 @@
 (** Unified run context for engine entry points.
 
-    [Ctx.t] bundles the five cross-cutting knobs that every engine
-    used to take as separate optional arguments:
+    [Ctx.t] bundles the seven cross-cutting knobs of a run:
 
     - [options] — InPlaceTP optimisation toggles ({!Options.t})
     - [rng] — deterministic random stream ([None] = engine default)
     - [fault] — fault-injection plan
     - [obs] — span tracer
     - [metrics] — metrics registry
+    - [audit] — arms the post-commit residual-audit rung
+    - [sharding] — region-shard schedule of fleet entry points
 
     Thread one [?ctx] value through {!Api.transplant_inplace},
-    {!Api.transplant_migration}, {!Api.respond_to_cve}, {!Inplace.run},
-    {!Migrate.run}, [Upgrade.*] and [Campaign.run]/[resume] instead of
-    repeating the argument list.  The old per-argument forms still work
+    {!Api.transplant_migration}, {!Api.transplant_shadow},
+    {!Api.respond_to_cve}, {!Inplace.run}, {!Migrate.run},
+    {!Migrate.run_shadow}, [Upgrade.*] and [Campaign.run]/[resume]
+    instead of repeating the argument list.  The three transplant
+    engines read [fault] and [metrics] through one shared fault hook
+    (each firing is logged and counted as [hypertp_faults_total]) and
+    [audit] through one shared audit rung; the shadow cutover's
+    degradation ladder is the engine's own [?ladder] argument, not a
+    context field.  The old per-argument forms still work
     (deprecated): when both are given, the explicit legacy argument
     overrides the corresponding [ctx] field, and either spelling
     produces byte-identical reports, traces and metrics for the same
@@ -26,17 +33,6 @@ type audit_config = {
 
 val audit_default : audit_config
 (** Scrub enabled. *)
-
-type shadow_config = {
-  shadow_ladder : bool;
-      (** walk the strategy-degradation ladder on a pre-swap abort
-          (shadow -> classic MigrationTP -> defer, the default);
-          [false] turns every abort into a defer — the source keeps its
-          VMs and the exposure is accounted, nothing else runs *)
-}
-
-val shadow_default : shadow_config
-(** Ladder enabled. *)
 
 type sharding = Sim.Shard.mode =
   | Sequential
@@ -58,9 +54,6 @@ type t = {
           {!Inplace.run} and {!Migrate.run}; [None] (the default) skips
           it entirely, so default runs stay byte-identical to previous
           releases *)
-  shadow : shadow_config option;
-      (** shadow-host cutover policy for {!Migrate.run_shadow}; [None]
-          (the default) means {!shadow_default} *)
   sharding : sharding;
       (** region-shard schedule for fleet entry points
           ([Campaign.run_fleet] and the sharded benchmarks);
@@ -75,21 +68,16 @@ val default : t
 val make :
   ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
   ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:audit_config ->
-  ?shadow:shadow_config -> ?sharding:sharding -> unit -> t
+  ?sharding:sharding -> unit -> t
 
-val with_options : Options.t -> t -> t
 val with_rng : Sim.Rng.t -> t -> t
 val with_fault : Fault.t -> t -> t
-val with_obs : Obs.Tracer.t -> t -> t
-val with_metrics : Obs.Metrics.t -> t -> t
-val with_audit : audit_config -> t -> t
-val with_shadow : shadow_config -> t -> t
 val with_sharding : sharding -> t -> t
 
 val resolve :
   ?ctx:t -> ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
   ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:audit_config ->
-  ?shadow:shadow_config -> ?sharding:sharding -> unit -> t
+  ?sharding:sharding -> unit -> t
 (** Merge legacy optional arguments over [ctx] (default {!default});
     an explicit legacy argument wins over the [ctx] field.  Engines
     call this once at their boundary. *)

@@ -210,14 +210,12 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
   let rng =
     match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x1A2BL
   in
-  let fault = c.Ctx.fault in
   let obs = c.Ctx.obs in
   let metrics = c.Ctx.metrics in
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn host in
   if Hv.Kind.equal S.kind T.kind then
     invalid_arg "Inplace.run: target equals the running hypervisor";
-  let vm_names = Hv.Host.vm_names host in
-  if vm_names = [] then invalid_arg "Inplace.run: no VMs to transplant";
+  let vm_names = Engine.vm_names ~who:"Inplace.run" host None in
   let machine = host.Hv.Host.machine in
   let pmem = host.Hv.Host.pmem in
   let workers =
@@ -226,23 +224,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
   in
   let obs = Option.map Otrace.attach obs in
   let jit () = Sim.Rng.jitter rng 0.02 in
-  let fire ?vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ?vm site in
-      if fired then begin
-        Log.warn (fun m ->
-            m "fault injected at %a%s" Fault.pp_site site
-              (match vm with Some v -> " (" ^ v ^ ")" | None -> ""));
-        Otrace.count metrics
-          ~labels:
-            [ ("engine", "inplace");
-              ("site", Format.asprintf "%a" Fault.pp_site site) ]
-          "hypertp_faults_total"
-      end;
-      fired
-    | None -> false
-  in
+  let fire ?vm site = Engine.fire ~engine:"inplace" c ?vm site in
   Log.info (fun m ->
       m "InPlaceTP %s -> %s on %s: %d VMs, options %a" S.name T.name
         machine.Hw.Machine.name (List.length vm_names) Options.pp options);
@@ -251,6 +233,16 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
   let vms = List.map (fun n -> (n, Option.get (Hv.Host.find_vm host n))) vm_names in
   let checksums_before =
     List.map (fun (n, vm) -> (n, Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)) vms
+  in
+  (* Each VM's memory is still backed, unchanged and literally in place. *)
+  let memory_intact =
+    List.for_all (fun (n, vm0) ->
+        let vm = Option.get (Hv.Host.find_vm host n) in
+        Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
+        && Int64.equal
+             (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
+             (List.assoc n checksums_before)
+        && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem)
   in
 
   (* Staging state, unwound transactionally if a pre-PNR fault fires. *)
@@ -369,6 +361,8 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
       if not (List.mem site !recovery_faults) then
         recovery_faults := site :: !recovery_faults
     in
+    (* Post-PNR sites: a firing is also a recovery fault. *)
+    let fire_noted ?vm site = fire ?vm site && (note site; true) in
     let recovery_seconds = ref 0.0 in
     let full_reboot = ref false in
     (* Recovery-ladder rungs in firing order, each a (name, span attrs,
@@ -400,11 +394,10 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
       rung "full_reboot" [ ("cause", "kexec_clobber") ] full_reboot_seconds;
       Log.warn (fun m -> m "kexec image clobbered: full-reboot fallback")
     end;
-    if fire Fault.Host_crash then begin
+    if fire_noted Fault.Host_crash then begin
       (* The host crashes during the vulnerable window between jump and
          restoration: account a full reboot, then proceed to restore
          from the preserved PRAM + UISR staging. *)
-      note Fault.Host_crash;
       full_reboot := true;
       rung "full_reboot" [ ("cause", "host_crash") ] full_reboot_seconds
     end;
@@ -418,10 +411,8 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
        the per-page CRC added at build time can catch it. *)
     List.iteri
       (fun i (n, _) ->
-        if fire ~vm:n Fault.Pram_corrupt then begin
-          note Fault.Pram_corrupt;
-          ignore (Pram.Build.corrupt_file pram_image ~index:i)
-        end)
+        if fire_noted ~vm:n Fault.Pram_corrupt then
+          ignore (Pram.Build.corrupt_file pram_image ~index:i))
       vms;
     (* Early boot: the target parses PRAM sequentially and reserves guest
        memory before its allocator comes up.  The verified parse
@@ -478,8 +469,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
       List.filter_map
         (fun (n, u, blob) ->
           let blob =
-            if fire ~vm:n Fault.Uisr_decode then begin
-              note Fault.Uisr_decode;
+            if fire_noted ~vm:n Fault.Uisr_decode then begin
               (* Damage a mandatory section: the per-section CRC catches
                  it, but there is no salvaging a vCPU table. *)
               Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_vcpu blob
@@ -487,8 +477,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
             else blob
           in
           let blob =
-            if fire ~vm:n Fault.Uisr_corrupt then begin
-              note Fault.Uisr_corrupt;
+            if fire_noted ~vm:n Fault.Uisr_corrupt then begin
               (* Damage a salvageable section: the decoder discards the
                  PIT and substitutes architectural reset defaults. *)
               Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_pit blob
@@ -506,8 +495,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
             let roundtrip = Uisr.Vm_state.equal before u in
             let mem = (List.assoc n detached).Vmstate.Vm.mem in
             let rec attempt k =
-              if fire ~vm:n Fault.Vm_restore then begin
-                note Fault.Vm_restore;
+              if fire_noted ~vm:n Fault.Vm_restore then begin
                 rung "restore_retry" [ ("vm", n) ] restore_retry_seconds;
                 if k > options.Options.restore_retry_limit then None
                 else begin
@@ -567,8 +555,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
     let rebuild_cost = Sim.Time.to_sec_f (Hv.Host.rebuild_management_state host) in
     let mgmt_rebuilds = ref 0 in
     let rec mgmt_attempt k =
-      if fire Fault.Mgmt_rebuild then begin
-        note Fault.Mgmt_rebuild;
+      if fire_noted Fault.Mgmt_rebuild then begin
         if k >= 3 then begin
           full_reboot := true;
           rung "full_reboot" [ ("cause", "mgmt_rebuild") ] full_reboot_seconds
@@ -605,12 +592,11 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
           (translation_seconds +. reboot_seconds +. restoration_seconds
           +. !recovery_seconds));
 
-    (* Step 8 (optional, Ctx-armed): post-commit residual audit.  Sweep
-       the target world against a fresh-boot reference of the target,
-       scrub-and-recheck on findings, and escalate the recovery ladder
-       if the scrub fails — a world with known residue must not report
-       Committed.  Audit and scrub time are charged as recovery rungs,
-       so the obs spans and the downtime model both see them. *)
+    (* Step 8 (optional, Ctx-armed): the post-commit residual-audit
+       rung ([Engine.audit_rung]), its sweeps and scrub charged as
+       recovery rungs.  A scrub that fails or leaves residue escalates
+       to a full reboot: a world with known residue must not report
+       Committed. *)
     let audit_report = ref None in
     let audit_residue = ref false in
     let audit_findings = ref 0 in
@@ -618,81 +604,46 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
     (match c.Ctx.audit with
     | None -> ()
     | Some acfg ->
-      let reference =
-        Audit.reference_of_fresh_boot ~machine (module T : Hv.Intf.S)
-      in
-      let source_ref =
-        Audit.reference_of_fresh_boot ~machine (module S : Hv.Intf.S)
-      in
-      let downtime =
-        Sim.Time.of_sec_f
-          (translation_seconds +. reboot_seconds +. restoration_seconds
-          +. !recovery_seconds)
-      in
-      let world =
-        Audit.world
+      let first, scrub =
+        Engine.audit_rung ~fire:fire_noted ~charge:rung ~acfg
+          ~what:"post-commit" ~source:(module S : Hv.Intf.S)
+          ~target:(module T : Hv.Intf.S)
           ~baseline:(List.map (fun (n, u, _) -> (n, u)) blobs)
-          ~downtime
+          ~downtime:
+            (Sim.Time.of_sec_f
+               (translation_seconds +. reboot_seconds +. restoration_seconds
+               +. !recovery_seconds))
           ~salvaged:(List.map fst !salvaged)
+          ~plants:
+            (* orphaned PRAM, source heap frames, a stale kernel frame
+               and a retained staged blob *)
+            [ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
+              Audit.Plant.Kexec_frame;
+              Audit.Plant.Stale_blob (fst (List.hd vms)) ]
           host
       in
-      let world =
-        if fire Fault.Residual_leak then begin
-          (* The transplant left residue behind: orphaned PRAM, source
-             heap frames, a stale kernel frame and a retained staged
-             blob.  The audit below must catch all of it. *)
-          note Fault.Residual_leak;
-          let victim = fst (List.hd vms) in
-          Audit.Plant.apply ~reference ~source:source_ref world
-            [ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
-              Audit.Plant.Kexec_frame; Audit.Plant.Stale_blob victim ]
-        end
-        else world
+      let escalate cause =
+        full_reboot := true;
+        rung "full_reboot" [ ("cause", cause) ] full_reboot_seconds
       in
-      let sweep w =
-        let r = Audit.run ~reference ~source:source_ref w in
-        rung "audit"
-          [ ("findings", string_of_int (List.length r.Audit.r_findings)) ]
-          (Costs.audit_sweep_seconds machine
-             ~frames_swept:r.Audit.r_frames_swept
-             ~vms:(List.length (Hv.Host.vms host)));
-        r
-      in
-      let first = sweep world in
       audit_report := Some first;
       audit_findings := List.length first.Audit.r_findings;
-      if not (Audit.clean first) then begin
-        audit_residue := true;
-        Log.warn (fun m ->
-            m "post-commit audit: %d residual finding(s)" !audit_findings);
-        if not acfg.Ctx.audit_scrub then ()
-        else if fire Fault.Scrub_fail then begin
-          note Fault.Scrub_fail;
-          full_reboot := true;
-          rung "full_reboot" [ ("cause", "scrub_fail") ] full_reboot_seconds;
-          Log.warn (fun m -> m "scrub failed: full-reboot fallback")
-        end
-        else begin
-          let sc = Audit.scrub world first in
-          rung "scrub"
-            [ ("freed", string_of_int sc.Audit.sc_frames_freed) ]
-            (Costs.scrub_seconds machine
-               ~frames_freed:sc.Audit.sc_frames_freed
-               ~findings:!audit_findings);
-          let second = sweep sc.Audit.sc_world in
-          audit_report := Some second;
-          audit_scrubbed :=
-            !audit_findings - List.length second.Audit.r_findings;
-          if not (Audit.clean second) then begin
-            full_reboot := true;
-            rung "full_reboot" [ ("cause", "residual_state") ]
-              full_reboot_seconds;
-            Log.warn (fun m ->
-                m "scrub left %d finding(s): full-reboot fallback"
-                  (List.length second.Audit.r_findings))
-          end
-        end
-      end);
+      audit_residue := not (Audit.clean first);
+      match scrub with
+      | Engine.No_scrub -> ()
+      | Engine.Scrub_failed ->
+        escalate "scrub_fail";
+        Log.warn (fun m -> m "scrub failed: full-reboot fallback")
+      | Engine.Rescanned second ->
+        audit_report := Some second;
+        audit_scrubbed :=
+          !audit_findings - List.length second.Audit.r_findings;
+        if not (Audit.clean second) then begin
+          escalate "residual_state";
+          Log.warn (fun m ->
+              m "scrub left %d finding(s): full-reboot fallback"
+                (List.length second.Audit.r_findings))
+        end);
 
     (* Checks, over the VMs that survived (quarantined ones are the
        recovery report's business, not the invariants'). *)
@@ -708,17 +659,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
           (n, u))
         (Hv.Host.vm_names host)
     in
-    let guest_memory_intact =
-      List.for_all
-        (fun (n, vm0) ->
-          let vm = Option.get (Hv.Host.find_vm host n) in
-          Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
-          && Int64.equal
-               (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
-               (List.assoc n checksums_before)
-          && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem (* literally in place *))
-        surviving_vms
-    in
+    let guest_memory_intact = memory_intact surviving_vms in
     (* Salvaged VMs run on substituted defaults: the preservation checks
        only bind the VMs restored from intact state. *)
     let intact_results =
@@ -827,20 +768,9 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
     Log.warn (fun m ->
         m "transplant rolled back at %a: VMs resumed on %s" Fault.pp_site site
           S.name);
-    let guest_memory_intact =
-      List.for_all
-        (fun (n, vm0) ->
-          let vm = Option.get (Hv.Host.find_vm host n) in
-          Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
-          && Int64.equal
-               (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
-               (List.assoc n checksums_before)
-          && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem)
-        vms
-    in
     let checks =
       {
-        guest_memory_intact;
+        guest_memory_intact = memory_intact vms;
         (* The aborted steps never ran; their checks hold vacuously. *)
         pram_parse_ok = true;
         kexec_image_intact = true;

@@ -68,12 +68,11 @@ type attempt_result =
   | Link_dropped of int * Sim.Time.t * Hw.Units.bytes_
       (* round index, time on the wire, bytes on the wire *)
 
-let attempt_precopy ~fire ~vm:n ~page_wire_bytes
-    (plan : Migration.Precopy.plan) =
+let attempt_precopy ~fire ~page_wire_bytes (plan : Migration.Precopy.plan) =
   let rec walk i degrade_extra spent bytes = function
     | [] -> Link_ok degrade_extra
     | (r : Migration.Precopy.round) :: rest ->
-      if fire ~vm:n Fault.Migration_link_drop then
+      if fire Fault.Migration_link_drop then
         (* Everything up to and including this round was on the wire
            when the link died. *)
         Link_dropped
@@ -82,7 +81,7 @@ let attempt_precopy ~fire ~vm:n ~page_wire_bytes
             bytes + (r.pages_sent * page_wire_bytes) )
       else
         let degrade_extra =
-          if fire ~vm:n Fault.Migration_link_degrade then
+          if fire Fault.Migration_link_degrade then
             Sim.Time.add degrade_extra r.duration
           else degrade_extra
         in
@@ -200,13 +199,57 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
     "hypertp_downtime_seconds"
     (Sim.Time.to_sec_f r.downtime)
 
+let dirty_rate (cfg : Vmstate.Vm.config) =
+  Workload.Profile.dirty_pages_per_sec cfg.Vmstate.Vm.workload
+    ~ram:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind
+
+(* The live data path [run] and the shadow swap share.  [stage] runs
+   live pre-copy over the VM's actual dirty bits into a fresh buffer on
+   [dst], pauses the source VM and captures its state; [land_staged]
+   restores that state onto the buffer, resumes the VM on [dst] and
+   checks its memory and connections against the paused source. *)
+type staged = {
+  st_mem : Vmstate.Guest_mem.t;
+  st_uisr : Uisr.Vm_state.t;
+  st_blob : bytes;  (** [st_uisr] encoded for the wire *)
+  st_checksum : int64;
+  st_conns : int;
+}
+
+let stage params ~rng ~(src : Hv.Host.t) ~(dst : Hv.Host.t) n =
+  let vm = Option.get (Hv.Host.find_vm src n) in
+  let cfg = vm.Vmstate.Vm.config in
+  let st_mem =
+    Vmstate.Guest_mem.create ~pmem:dst.Hv.Host.pmem ~rng:dst.Hv.Host.rng
+      ~bytes:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind ()
+  in
+  let live =
+    Migration.Precopy.run_live params ~src:vm.Vmstate.Vm.mem ~dst:st_mem
+      ~dirty_pages_per_sec:(dirty_rate cfg) ~rng
+  in
+  assert live.Migration.Precopy.memory_equal;
+  Hv.Host.pause_vm src n;
+  let st_checksum = Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem in
+  let st_conns = Vmstate.Vm.total_tcp_connections vm in
+  let st_uisr = Hv.Host.to_uisr src n in
+  { st_mem; st_uisr; st_blob = Uisr.Codec.encode st_uisr; st_checksum;
+    st_conns }
+
+(* Returns the restore fixups and whether memory and connections match. *)
+let land_staged ~(dst : Hv.Host.t) n st =
+  let fixups = Hv.Host.restore_from_uisr dst ~mem:st.st_mem st.st_uisr in
+  Hv.Host.resume_vm dst n;
+  let vm = Option.get (Hv.Host.find_vm dst n) in
+  ( fixups,
+    Int64.equal (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem) st.st_checksum,
+    Vmstate.Vm.total_tcp_connections vm = st.st_conns )
+
 let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
     ~(src : Hv.Host.t) ~(dst : Hv.Host.t) ?vm_names () =
   let c = Ctx.resolve ?ctx ?rng ?fault ?obs ?metrics () in
   let rng =
     match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x3C4DL
   in
-  let fault = c.Ctx.fault in
   let metrics = c.Ctx.metrics in
   let obs = Option.map Otrace.attach c.Ctx.obs in
   if retry.max_attempts < 1 then invalid_arg "Migrate.run: max_attempts < 1";
@@ -215,42 +258,20 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
   let kind =
     if Hv.Kind.equal S.kind D.kind then `Homogeneous else `Migration_tp
   in
-  let vm_names =
-    match vm_names with Some l -> l | None -> Hv.Host.vm_names src
-  in
-  if vm_names = [] then invalid_arg "Migrate.run: no VMs";
+  let vm_names = Engine.vm_names ~who:"Migrate.run" src vm_names in
   Log.info (fun m ->
       m "%s %s -> %s: %d VMs"
         (match kind with
         | `Migration_tp -> "MigrationTP"
         | `Homogeneous -> "homogeneous migration")
         S.name D.name (List.length vm_names));
-  List.iter
-    (fun n ->
-      if Hv.Host.find_vm src n = None then
-        invalid_arg ("Migrate.run: unknown VM " ^ n))
-    vm_names;
   let streams = List.length vm_names in
   let nic = src.Hv.Host.machine.Hw.Machine.nic in
   let params = Migration.Precopy.default_params ~nic ~streams () in
   let page_wire_bytes =
     Hw.Units.page_size_4k + params.Migration.Precopy.page_overhead_bytes
   in
-  let fire ~vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ~vm site in
-      if fired then begin
-        Log.warn (fun m -> m "fault injected at %a (%s)" Fault.pp_site site vm);
-        Otrace.count metrics
-          ~labels:
-            [ ("engine", "migrate");
-              ("site", Format.asprintf "%a" Fault.pp_site site) ]
-          "hypertp_faults_total"
-      end;
-      fired
-    | None -> false
-  in
+  let fire ?vm site = Engine.fire ~engine:"migrate" c ?vm site in
 
   (* Pre-copy plans (VMs still running, degraded). *)
   let plans =
@@ -262,12 +283,8 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
            guest's backing page size. *)
         let page_bytes = Hw.Units.page_size_4k in
         let total_pages = Hw.Units.frames_of_bytes cfg.ram in
-        let dirty =
-          Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
-            ~page_kind:cfg.page_kind
-        in
         (n, vm, Migration.Precopy.plan params ~page_bytes ~total_pages
-                  ~dirty_pages_per_sec:dirty))
+                  ~dirty_pages_per_sec:(dirty_rate cfg)))
       vm_names
   in
 
@@ -288,7 +305,7 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
            the attempt budget runs out. *)
         let dropped = ref [] in
         let rec go attempt ~retry_wait ~wasted_time ~wasted_bytes =
-          match attempt_precopy ~fire ~vm:n ~page_wire_bytes plan with
+          match attempt_precopy ~fire:(fire ~vm:n) ~page_wire_bytes plan with
           | Link_dropped (round, w_time, w_bytes) ->
             let wasted_time = Sim.Time.add wasted_time w_time in
             let wasted_bytes = wasted_bytes + w_bytes in
@@ -329,33 +346,17 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
                 ~wasted_time ~wasted_bytes
             end
           | Link_ok degrade_extra ->
-            (* The live data path: multi-round pre-copy over the VM's
-               actual dirty bits while it still runs (timings are
-               reported from the calibrated analytic plan; the live
-               rounds carry the data and verify convergence on real
-               state). *)
-            let dst_mem =
-              Vmstate.Guest_mem.create ~pmem:dst.Hv.Host.pmem
-                ~rng:dst.Hv.Host.rng ~bytes:vm.Vmstate.Vm.config.ram
-                ~page_kind:vm.Vmstate.Vm.config.page_kind ()
+            (* Timings are reported from the calibrated analytic plan;
+               the live rounds carry the data and verify convergence on
+               real state. *)
+            let st = stage params ~rng ~src ~dst n in
+            let precopy_time () =
+              Sim.Time.add
+                (Sim.Time.scale (Sim.Rng.jitter rng 0.02)
+                   plan.Migration.Precopy.precopy_time)
+                degrade_extra
             in
-            let live =
-              Migration.Precopy.run_live params ~src:vm.Vmstate.Vm.mem
-                ~dst:dst_mem
-                ~dirty_pages_per_sec:
-                  (Workload.Profile.dirty_pages_per_sec
-                     vm.Vmstate.Vm.config.workload
-                     ~ram:vm.Vmstate.Vm.config.ram
-                     ~page_kind:vm.Vmstate.Vm.config.page_kind)
-                ~rng
-            in
-            assert live.Migration.Precopy.memory_equal;
-            Hv.Host.pause_vm src n;
-            let src_checksum = Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem in
-            let src_conns = Vmstate.Vm.total_tcp_connections vm in
-            let uisr = Hv.Host.to_uisr src n in
-            let state_blob = Uisr.Codec.encode uisr in
-            let state_bytes = Bytes.length state_blob in
+            let state_bytes = Bytes.length st.st_blob in
             let state_transfer =
               Hw.Nic.transfer_time nic ~streams state_bytes
             in
@@ -370,9 +371,9 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
                   Log.warn (fun m ->
                       m "%s: state chunk corrupted in flight" n);
                   Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_vcpu
-                    state_blob
+                    st.st_blob
                 end
-                else state_blob
+                else st.st_blob
               in
               match
                 (Uisr.Codec.decode_verified wire_blob).Uisr.Integrity.verdict
@@ -398,17 +399,12 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
                   m "%s: state verification failed after %d transmissions; \
                      aborting"
                     n attempts);
-              Vmstate.Guest_mem.free dst_mem;
+              Vmstate.Guest_mem.free st.st_mem;
               Hv.Host.resume_vm src n;
               let retransmit_waste =
                 Sim.Time.scale (float_of_int attempts) state_transfer
               in
-              let precopy_time =
-                Sim.Time.add
-                  (Sim.Time.scale (Sim.Rng.jitter rng 0.02)
-                     plan.Migration.Precopy.precopy_time)
-                  degrade_extra
-              in
+              let precopy_time = precopy_time () in
               {
                 vm_name = n;
                 rounds = List.length plan.Migration.Precopy.rounds;
@@ -441,19 +437,11 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
               | None -> assert false
               | Some dom -> Sim.Time.scale 0.05 (S'.save_cost shv dom)
             in
-            let fixups = Hv.Host.restore_from_uisr dst ~mem:dst_mem uisr in
-            Hv.Host.resume_vm dst n;
-            let dst_vm = Option.get (Hv.Host.find_vm dst n) in
-            if
-              not
-                (Int64.equal
-                   (Vmstate.Guest_mem.checksum dst_vm.Vmstate.Vm.mem)
-                   src_checksum)
-            then checks_memory := false;
-            if Vmstate.Vm.total_tcp_connections dst_vm <> src_conns then
-              checks_conns := false;
+            let fixups, memory_ok, conns_ok = land_staged ~dst n st in
+            if not memory_ok then checks_memory := false;
+            if not conns_ok then checks_conns := false;
             Hv.Host.destroy_vm src n;
-            migrated_uisrs := (n, uisr) :: !migrated_uisrs;
+            migrated_uisrs := (n, st.st_uisr) :: !migrated_uisrs;
             (* Timing: retransmitted state chunks stretch the downtime —
                the VM is paused while they cross the wire again. *)
             let retransmit_extra =
@@ -478,12 +466,7 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
             let downtime =
               Sim.Time.scale jitter (Sim.Time.add queue_wait service_time)
             in
-            let precopy_time =
-              Sim.Time.add
-                (Sim.Time.scale (Sim.Rng.jitter rng 0.02)
-                   plan.Migration.Precopy.precopy_time)
-                degrade_extra
-            in
+            let precopy_time = precopy_time () in
             let retries = attempt - 1 in
             {
               vm_name = n;
@@ -523,63 +506,18 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
       (fun acc (r : vm_report) -> Sim.Time.max acc r.total_time)
       Sim.Time.zero per_vm
   in
-  (* Optional post-migration residual audit of the destination world:
-     same contract as the InPlaceTP rung — findings trigger a
-     scrub-and-recheck, anything left standing fails the
-     [residual_clean] check.  Audit/scrub time extends the reported
-     total and is laid as spans after the last VM lands, so the trace
-     reconciles with [audit_time] exactly. *)
+  (* Optional post-migration residual-audit rung ([Engine.audit_rung])
+     over the destination world, baselined on the blobs that crossed
+     the wire.  Residue left standing fails [residual_clean].
+     Audit/scrub time extends the reported total and is laid as spans
+     after the last VM lands, so the trace reconciles with [audit_time]
+     exactly. *)
   let audit_report = ref None in
   let audit_time = ref Sim.Time.zero in
   let residual_clean = ref true in
   (match c.Ctx.audit with
   | None -> ()
   | Some acfg ->
-    let machine = dst.Hv.Host.machine in
-    let fire_host site =
-      match fault with
-      | Some f ->
-        let fired = Fault.fire f site in
-        if fired then begin
-          Log.warn (fun m -> m "fault injected at %a" Fault.pp_site site);
-          Otrace.count metrics
-            ~labels:
-              [ ("engine", "migrate");
-                ("site", Format.asprintf "%a" Fault.pp_site site) ]
-            "hypertp_faults_total"
-        end;
-        fired
-      | None -> false
-    in
-    let reference =
-      Audit.reference_of_fresh_boot ~machine (module D : Hv.Intf.S)
-    in
-    let source_ref =
-      Audit.reference_of_fresh_boot ~machine (module S : Hv.Intf.S)
-    in
-    let max_downtime =
-      List.fold_left
-        (fun acc (r : vm_report) -> Sim.Time.max acc r.downtime)
-        Sim.Time.zero per_vm
-    in
-    let world =
-      Audit.world
-        ~baseline:(List.rev !migrated_uisrs)
-        ~downtime:max_downtime dst
-    in
-    let world =
-      if fire_host Fault.Residual_leak then
-        let plants =
-          [ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
-            Audit.Plant.Kexec_frame ]
-          @
-          match !migrated_uisrs with
-          | (n, _) :: _ -> [ Audit.Plant.Stale_blob n ]
-          | [] -> []
-        in
-        Audit.Plant.apply ~reference ~source:source_ref world plants
-      else world
-    in
     let charge name attrs secs =
       let d = Sim.Time.of_sec_f secs in
       ignore
@@ -591,37 +529,32 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
            name);
       audit_time := Sim.Time.add !audit_time d
     in
-    let sweep w =
-      let r = Audit.run ~reference ~source:source_ref w in
-      charge "audit"
-        [ ("findings", string_of_int (List.length r.Audit.r_findings)) ]
-        (Costs.audit_sweep_seconds machine
-           ~frames_swept:r.Audit.r_frames_swept
-           ~vms:(List.length (Hv.Host.vms dst)));
-      r
+    let first, scrub =
+      Engine.audit_rung ~fire ~charge ~acfg ~what:"post-migration"
+        ~source:(module S : Hv.Intf.S) ~target:(module D : Hv.Intf.S)
+        ~baseline:(List.rev !migrated_uisrs)
+        ~downtime:
+          (List.fold_left
+             (fun acc (r : vm_report) -> Sim.Time.max acc r.downtime)
+             Sim.Time.zero per_vm)
+        ~plants:
+          ([ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
+             Audit.Plant.Kexec_frame ]
+          @
+          match !migrated_uisrs with
+          | (n, _) :: _ -> [ Audit.Plant.Stale_blob n ]
+          | [] -> [])
+        dst
     in
-    let first = sweep world in
     audit_report := Some first;
-    if not (Audit.clean first) then begin
-      let findings = List.length first.Audit.r_findings in
-      Log.warn (fun m ->
-          m "post-migration audit: %d residual finding(s)" findings);
-      if not acfg.Ctx.audit_scrub then residual_clean := false
-      else if fire_host Fault.Scrub_fail then begin
-        residual_clean := false;
-        Log.warn (fun m -> m "scrub failed: destination retains residue")
-      end
-      else begin
-        let sc = Audit.scrub world first in
-        charge "scrub"
-          [ ("freed", string_of_int sc.Audit.sc_frames_freed) ]
-          (Costs.scrub_seconds machine
-             ~frames_freed:sc.Audit.sc_frames_freed ~findings);
-        let second = sweep sc.Audit.sc_world in
-        audit_report := Some second;
-        if not (Audit.clean second) then residual_clean := false
-      end
-    end);
+    residual_clean := Audit.clean first;
+    match scrub with
+    | Engine.No_scrub -> ()
+    | Engine.Scrub_failed ->
+      Log.warn (fun m -> m "scrub failed: destination retains residue")
+    | Engine.Rescanned second ->
+      audit_report := Some second;
+      residual_clean := Audit.clean second);
   {
     kind;
     src_hv = S.name;
@@ -697,33 +630,17 @@ type shadow_report = {
 exception Shadow_abort of Fault.site
 
 let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
-    ?ladder ~(src : Hv.Host.t) ~(spare : Hv.Host.t) ~target ?vm_names () =
+    ?(ladder = true) ~(src : Hv.Host.t) ~(spare : Hv.Host.t) ~target ?vm_names
+    () =
   let module T = (val target : Hv.Intf.S) in
   let c = Ctx.resolve ?ctx ?rng ?fault ?obs ?metrics () in
   let rng =
     match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x5AD0L
   in
-  let fault = c.Ctx.fault in
   let metrics = c.Ctx.metrics in
   let obs = Option.map Otrace.attach c.Ctx.obs in
-  let ladder =
-    match ladder with
-    | Some b -> b
-    | None -> (
-      match c.Ctx.shadow with
-      | Some s -> s.Ctx.shadow_ladder
-      | None -> Ctx.shadow_default.Ctx.shadow_ladder)
-  in
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn src in
-  let vm_names =
-    match vm_names with Some l -> l | None -> Hv.Host.vm_names src
-  in
-  if vm_names = [] then invalid_arg "Migrate.run_shadow: no VMs";
-  List.iter
-    (fun n ->
-      if Hv.Host.find_vm src n = None then
-        invalid_arg ("Migrate.run_shadow: unknown VM " ^ n))
-    vm_names;
+  let vm_names = Engine.vm_names ~who:"Migrate.run_shadow" src vm_names in
   (match Hv.Host.hypervisor_kind spare with
   | Some k when not (Hv.Kind.equal k T.kind) ->
     invalid_arg "Migrate.run_shadow: spare runs a different hypervisor"
@@ -744,24 +661,8 @@ let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
   let per_page =
     Migration.Precopy.page_time sparams.Migration.Shadow.precopy ~page_bytes
   in
-  let note_fault ?vm site =
-    Log.warn (fun m ->
-        m "fault injected at %a%s" Fault.pp_site site
-          (match vm with Some n -> " (" ^ n ^ ")" | None -> ""));
-    Otrace.count metrics
-      ~labels:
-        [ ("engine", "shadow");
-          ("site", Format.asprintf "%a" Fault.pp_site site) ]
-      "hypertp_faults_total"
-  in
-  let fire ?vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ?vm site in
-      if fired then note_fault ?vm site;
-      fired
-    | None -> false
-  in
+  let note_fault ?vm site = Engine.note_fault ~engine:"shadow" c ?vm site in
+  let fire ?vm site = Engine.fire ~engine:"shadow" c ?vm site in
   (* The watchdog engine: one private discrete-event engine for the
      whole run; the timer hook keeps the fire/cancel ledger the report
      exposes. *)
@@ -941,13 +842,10 @@ let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
           let vm = Option.get (Hv.Host.find_vm src n) in
           let cfg = vm.Vmstate.Vm.config in
           let total_pages = Hw.Units.frames_of_bytes cfg.Vmstate.Vm.ram in
-          let dirty =
-            Workload.Profile.dirty_pages_per_sec cfg.Vmstate.Vm.workload
-              ~ram:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind
-          in
+          let dirty = dirty_rate cfg in
           let outcome =
-            Migration.Shadow.attempt_stream sparams ?fault ~vm:n ~page_bytes
-              ~total_pages ~dirty_pages_per_sec:dirty ()
+            Migration.Shadow.attempt_stream sparams ?fault:c.Ctx.fault ~vm:n
+              ~page_bytes ~total_pages ~dirty_pages_per_sec:dirty ()
           in
           (n, vm, total_pages, dirty, outcome))
         vm_names
@@ -1038,42 +936,17 @@ let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
       List.map
         (fun sv ->
           let n = sv.sv_name in
-          let vm = Option.get (Hv.Host.find_vm src n) in
-          let cfg = vm.Vmstate.Vm.config in
           let plan = Option.get sv.sv_plan in
-          (* The data path: replay over the VM's actual dirty bits
-             lands the shadow copy, then the flip moves only the final
-             dirty set and the platform state. *)
-          let dst_mem =
-            Vmstate.Guest_mem.create ~pmem:spare.Hv.Host.pmem
-              ~rng:spare.Hv.Host.rng ~bytes:cfg.Vmstate.Vm.ram
-              ~page_kind:cfg.Vmstate.Vm.page_kind ()
+          (* Replay over the VM's actual dirty bits lands the shadow
+             copy; the flip moves only the final dirty set and the
+             platform state. *)
+          let st =
+            stage sparams.Migration.Shadow.precopy ~rng ~src ~dst:spare n
           in
-          let live =
-            Migration.Precopy.run_live sparams.Migration.Shadow.precopy
-              ~src:vm.Vmstate.Vm.mem ~dst:dst_mem
-              ~dirty_pages_per_sec:
-                (Workload.Profile.dirty_pages_per_sec cfg.Vmstate.Vm.workload
-                   ~ram:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind)
-              ~rng
-          in
-          assert live.Migration.Precopy.memory_equal;
-          Hv.Host.pause_vm src n;
-          let src_checksum = Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem in
-          let src_conns = Vmstate.Vm.total_tcp_connections vm in
-          let uisr = Hv.Host.to_uisr src n in
-          let state_bytes = Bytes.length (Uisr.Codec.encode uisr) in
-          ignore (Hv.Host.restore_from_uisr spare ~mem:dst_mem uisr);
-          Hv.Host.resume_vm spare n;
-          let dst_vm = Option.get (Hv.Host.find_vm spare n) in
-          if
-            not
-              (Int64.equal
-                 (Vmstate.Guest_mem.checksum dst_vm.Vmstate.Vm.mem)
-                 src_checksum)
-          then checks_memory := false;
-          if Vmstate.Vm.total_tcp_connections dst_vm <> src_conns then
-            checks_conns := false;
+          let state_bytes = Bytes.length st.st_blob in
+          let _fixups, memory_ok, conns_ok = land_staged ~dst:spare n st in
+          if not memory_ok then checks_memory := false;
+          if not conns_ok then checks_conns := false;
           let vm_downtime =
             Sim.Time.scale (Sim.Rng.jitter rng 0.03)
               (Sim.Time.add plan.Migration.Shadow.cutover_downtime

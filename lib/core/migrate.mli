@@ -132,8 +132,9 @@ val run :
     [residual_leak] fault site plants residue on the destination for
     the audit to catch.
 
-    Raises [Invalid_argument] if the destination lacks memory or a
-    hypervisor, a VM name is unknown, or [retry.max_attempts < 1]. *)
+    Raises [Invalid_argument], before either host changes, if a VM name
+    is unknown or repeated, or [retry.max_attempts < 1]; and if the
+    destination lacks memory or a hypervisor. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit
@@ -222,8 +223,7 @@ val run_shadow :
     watchdog, not asserted); {!Fault.Swap_partition} hits the handshake
     strictly before the flip.  All five abort with the source verified
     intact, then walk the degradation ladder: classic {!run} against
-    the staged spare when [ladder] (default from {!Ctx.t.shadow},
-    ultimately [true]), defer otherwise.
+    the staged spare when [ladder] (default [true]), defer otherwise.
 
     [obs] lays the five phase spans back-to-back from t=0 on the
     [shadow:<src>] track under one root whose extent equals
@@ -234,9 +234,10 @@ val run_shadow :
     [hypertp_faults_total] and the [hypertp_downtime_seconds] histogram
     (committed cutovers only).
 
-    Raises [Invalid_argument] if [src] has no running hypervisor or no
-    VMs, a VM name is unknown, or the spare is non-empty or runs a
-    hypervisor other than [target]. *)
+    Raises [Invalid_argument], before either host changes, if [src] has
+    no running hypervisor or no VMs, a VM name is unknown or repeated,
+    or the spare is non-empty or runs a hypervisor other than
+    [target]. *)
 
 val pp_shadow_strategy : Format.formatter -> shadow_strategy -> unit
 val pp_shadow_report : Format.formatter -> shadow_report -> unit

@@ -423,6 +423,39 @@ let test_migration_unknown_vm () =
     (Invalid_argument "Migrate.run: unknown VM nope") (fun () ->
       ignore (Hypertp.Api.transplant_migration ~src ~dst ~vm_names:[ "nope" ] ()))
 
+(* A repeated VM name is rejected up front, like an unknown one: the
+   engines would otherwise move [vm0] twice (use-after-free in
+   [Migrate.run]; a duplicate restore mid-swap in [run_shadow], with
+   the source copy left paused). *)
+let test_repeated_vm_rejected () =
+  let fingerprint (h : Hv.Host.t) =
+    ( Hv.Host.hypervisor_kind h,
+      Hw.Pmem.used_frames h.Hv.Host.pmem,
+      List.map
+        (fun (vm : Vmstate.Vm.t) ->
+          ( vm.Vmstate.Vm.config.Vmstate.Vm.name,
+            Vmstate.Vm.is_running vm,
+            Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem ))
+        (Hv.Host.vms h) )
+  in
+  let unchanged name hosts f =
+    let before = List.map fingerprint hosts in
+    Alcotest.check_raises name (Invalid_argument (name ^ ": duplicate VM vm0"))
+      (fun () -> ignore (f ()));
+    checkb (name ^ " leaves both hosts unchanged") true
+      (before = List.map fingerprint hosts)
+  in
+  let vm_names = [ "vm0"; "vm0" ] in
+  let vms = [ small_vm (); small_vm ~name:"vm1" () ] in
+  let src = xen_host ~vms () and dst = kvm_host () in
+  unchanged "Migrate.run" [ src; dst ] (fun () ->
+      Hypertp.Api.transplant_migration ~src ~dst ~vm_names ());
+  let src = xen_host ~vms () in
+  let spare = Hv.Host.create ~name:"spare" (Hw.Machine.m1 ()) in
+  unchanged "Migrate.run_shadow" [ src; spare ] (fun () ->
+      Hypertp.Api.transplant_shadow ~src ~spare ~target:Hv.Kind.Kvm ~vm_names
+        ())
+
 (* --- Memsep --- *)
 
 let test_memsep_proportions () =
@@ -580,6 +613,8 @@ let suites =
           test_migration_link_failure_safe;
         Alcotest.test_case "partial failure" `Quick test_migration_partial_failure;
         Alcotest.test_case "unknown vm" `Quick test_migration_unknown_vm;
+        Alcotest.test_case "repeated vm rejected" `Quick
+          test_repeated_vm_rejected;
       ] );
     ( "hypertp.harmonization",
       [

@@ -430,6 +430,75 @@ let test_campaign_resume_reemits_timeline () =
          (Obs.Tracer.spans tr))
   | C.Crashed _ -> Alcotest.fail "resume crashed"
 
+(* --- faulted-engine goldens ---
+
+   Each golden is the Chrome trace followed by the OpenMetrics text of
+   one faulted CLI scenario at [--seed 42 --vms 2] (m1, 1 vCPU, 1 GiB
+   per VM), i.e. [cat trace.json metrics.txt] of
+     inplace --audit --fault residual_leak:1 --fault vm_restore:1
+     migrate --audit --fault migration_link_drop:1 --fault residual_leak:1
+             --fault scrub_fail:1
+     shadow --fault shadow_stream_drop:1
+   rebuilt here in-process through the same entry points. *)
+
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let cli_host ?(name = "cli-host") ?(seed = 42L) hv vms =
+  Hypertp.Api.provision ~seed ~name ~machine:(Hw.Machine.m1 ()) ~hv
+    (List.init vms (fun i ->
+         Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~vcpus:1
+           ~ram:(Hw.Units.gib 1) ()))
+
+let faulted_ctx ?audit specs =
+  let fault =
+    Fault.of_specs
+      (List.map
+         (fun s ->
+           match Fault.parse_spec s with
+           | Ok sp -> sp
+           | Error e -> Alcotest.fail e)
+         specs)
+  in
+  let obs = Obs.Tracer.create () and metrics = Obs.Metrics.create () in
+  ( Hypertp.Ctx.make ~rng:(Sim.Rng.create 42L) ~fault ~obs ~metrics ?audit (),
+    fun () -> Obs.Export.chrome_trace obs ^ Obs.Export.open_metrics metrics )
+
+let test_golden_inplace_faulted () =
+  let ctx, dump =
+    faulted_ctx ~audit:Hypertp.Ctx.audit_default
+      [ "residual_leak:1"; "vm_restore:1" ]
+  in
+  ignore
+    (Hypertp.Api.transplant_inplace ~ctx ~host:(cli_host Hv.Kind.Xen 2)
+       ~target:Hv.Kind.Kvm ());
+  checks "inplace faulted trace+metrics" (read_golden "inplace_faulted.txt")
+    (dump ())
+
+let test_golden_migrate_faulted () =
+  let ctx, dump =
+    faulted_ctx ~audit:Hypertp.Ctx.audit_default
+      [ "migration_link_drop:1"; "residual_leak:1"; "scrub_fail:1" ]
+  in
+  let dst = cli_host ~name:"cli-dst" ~seed:43L Hv.Kind.Kvm 0 in
+  ignore
+    (Hypertp.Api.transplant_migration ~ctx ~src:(cli_host Hv.Kind.Xen 2) ~dst
+       ());
+  checks "migrate faulted trace+metrics" (read_golden "migrate_faulted.txt")
+    (dump ())
+
+let test_golden_shadow_faulted () =
+  let ctx, dump = faulted_ctx [ "shadow_stream_drop:1" ] in
+  let spare = Hv.Host.create ~name:"cli-spare" (Hw.Machine.m1 ()) in
+  ignore
+    (Hypertp.Api.transplant_shadow ~ctx ~src:(cli_host Hv.Kind.Xen 2) ~spare
+       ~target:Hv.Kind.Kvm ());
+  checks "shadow faulted trace+metrics" (read_golden "shadow_faulted.txt")
+    (dump ())
+
 let suites =
   [ ( "obs.tracer",
       [ Alcotest.test_case "nesting" `Quick test_tracer_nesting;
@@ -468,4 +537,11 @@ let suites =
           test_migrate_retry_instrumentation;
         Alcotest.test_case "campaign timeline" `Quick test_campaign_timeline;
         Alcotest.test_case "campaign resume re-emits" `Quick
-          test_campaign_resume_reemits_timeline ] ) ]
+          test_campaign_resume_reemits_timeline ] );
+    ( "obs.goldens",
+      [ Alcotest.test_case "inplace faulted" `Quick
+          test_golden_inplace_faulted;
+        Alcotest.test_case "migrate faulted" `Quick
+          test_golden_migrate_faulted;
+        Alcotest.test_case "shadow faulted" `Quick
+          test_golden_shadow_faulted ] ) ]
