@@ -1,6 +1,6 @@
 (** Supervised rolling-transplant campaign controller.
 
-    [Cluster.Upgrade.execute*] prices a rolling upgrade by summing
+    [Cluster.Upgrade.execute] prices a rolling upgrade by summing
     precomputed action times — fine for Fig. 13, useless for operating
     a real fleet remediation, which is a multi-hour supervised process
     racing an active attacker.  This module runs the same BtrPlace plan
@@ -35,8 +35,7 @@
     Fault sites consulted per host admission, in order:
     {!Fault.Host_flap}, {!Fault.Host_crash}, {!Fault.Host_timeout} —
     always all three, so equal seeds keep probability streams aligned
-    and failure sets are nested across probabilities (the
-    [sweep_faulty] monotonicity property, lifted to campaigns).  When
+    and failure sets are nested across probabilities ({!sweep}).  When
     several fire, the costliest manifestation governs (timeout >
     flap > crash).  Shadow admissions additionally consult the five
     shadow sites ({!Fault.Spare_exhausted}, {!Fault.Shadow_stage_fail},
@@ -227,9 +226,10 @@ val sweep :
   ?config:config -> ?seed:int64 -> probabilities:float list -> unit ->
   (float * report) list
 (** Run one campaign per per-host failure probability ([Host_crash],
-    probability trigger, all plans sharing [seed] — default [0xC1A5L],
-    matching {!Upgrade.sweep_faulty}): failure sets are nested and
-    wall-clock is monotone in the probability. *)
+    probability trigger, all plans sharing [seed], default [0xC1A5L]).
+    Failure sets are nested: every host whose in-place attempt fails at
+    [p] also fails at any [p' > p].  Under serial admission
+    ([concurrency = 1]) wall-clock is monotone in the probability. *)
 
 val pp_host_record : Format.formatter -> host_record -> unit
 val pp_report : Format.formatter -> report -> unit

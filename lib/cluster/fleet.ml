@@ -14,29 +14,20 @@ type outcome = {
 
 let hours t = Sim.Time.to_sec_f t /. 3600.0
 
-let simulate ?(hosts = 8) ?(vms_per_host = 4) ?topology ?window_days
-    ?(stagger = Sim.Time.sec 600) ~cve_id () =
+let simulate ?(topology = Topology.flat ~hosts:8 ~vms_per_host:4)
+    ?window_days ?(stagger = Sim.Time.sec 600) ~cve_id () =
   let site = "Fleet.simulate" in
-  (* A topology overrides the flat [hosts]/[vms_per_host] integers:
-     the fleet is its regions concatenated in order, each host carrying
-     its region's VM density.  Without one, the legacy arguments build
-     the same flat fleet as before, byte for byte. *)
-  let hosts, per_host_vms =
-    match Option.map Topology.validate_exn topology with
-    | None -> (hosts, Array.make (Stdlib.max 0 hosts) vms_per_host)
-    | Some t ->
-      let total = Topology.hosts t in
-      let a = Array.make total vms_per_host in
-      let k = ref 0 in
-      Array.iter
-        (fun r ->
-          for _ = 1 to r.Topology.rg_hosts do
-            a.(!k) <- r.Topology.rg_vms_per_host;
-            incr k
-          done)
-        (Topology.regions t);
-      (total, a)
-  in
+  (* The fleet is the topology's regions concatenated in order, each
+     host carrying its region's VM density. *)
+  let topology = Topology.validate_exn topology in
+  let hosts = Topology.hosts topology in
+  let per_host_vms = Array.make hosts 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun r ->
+      Array.fill per_host_vms !k r.Topology.rg_hosts r.Topology.rg_vms_per_host;
+      k := !k + r.Topology.rg_hosts)
+    (Topology.regions topology);
   let record =
     match Cve.Nvd.find cve_id with
     | Some r -> r
@@ -52,7 +43,7 @@ let simulate ?(hosts = 8) ?(vms_per_host = 4) ?topology ?window_days
         ~current:"xen" record
     with
     | Cve.Window.Transplant_to hv -> Option.get (Hv.Kind.of_string hv)
-    | Cve.Window.Wait_for_patch | Cve.Window.No_action ->
+    | Cve.Window.No_action ->
       Hypertp_error.raise_error ~site
         ~hint:"only critical CVEs against the running hypervisor trigger a \
                transplant"

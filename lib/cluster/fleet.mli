@@ -32,14 +32,15 @@ type outcome = {
 }
 
 val simulate :
-  ?hosts:int -> ?vms_per_host:int -> ?topology:Topology.t ->
-  ?window_days:int -> ?stagger:Sim.Time.t -> cve_id:string -> unit -> outcome
-(** Run the scenario for a Xen fleet hit by [cve_id] (defaults: 8 hosts
-    x 4 VMs, the CVE's documented window or 30 days, one host
-    transplanted every [stagger] = 10 minutes — operators roll changes
-    gradually).  A [topology] overrides the flat [hosts]/[vms_per_host]
-    integers: the fleet is its regions concatenated in order, each host
-    carrying its region's VM density (the topology is validated first).
+  ?topology:Topology.t -> ?window_days:int -> ?stagger:Sim.Time.t ->
+  cve_id:string -> unit -> outcome
+(** Run the scenario for a Xen fleet hit by [cve_id] (defaults: the
+    flat 8 hosts x 4 VMs topology, the CVE's documented window or 30
+    days, one host transplanted every [stagger] = 10 minutes — operators
+    roll changes gradually).  The fleet is the topology's regions
+    concatenated in order, each host carrying its region's VM density;
+    the topology is validated ({!Topology.validate_exn}) before any host
+    is provisioned.
     Raises [Hypertp.Error.Error] (site ["Fleet.simulate"])
     for an unknown CVE or one the policy would not act on.
 

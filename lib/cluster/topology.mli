@@ -6,9 +6,9 @@
     [~hosts]/[~regions] integer arguments that used to be repeated (and
     re-validated, inconsistently) across [Fleet.simulate],
     [Campaign.run_fleet], [Controlplane.run] and
-    [Stream.Service.serve].  Legacy integer entry points remain as
-    deprecated wrappers over {!flat}/{!uniform} and stay
-    byte-identical.
+    [Stream.Service.serve].  [Fleet.simulate] takes its shape only as a
+    topology; an integer host count (the CLI's [fleet --hosts N]) is
+    passed as {!flat}, so it meets the same validation.
 
     Topologies come from three places: the {!uniform} smart
     constructor, the {!of_spec} CLI parser (["64x15625x8"] or
@@ -45,8 +45,8 @@ val uniform :
     [regions < 1]. *)
 
 val flat : hosts:int -> vms_per_host:int -> t
-(** One region ["r0"] holding the whole fleet — the shape every legacy
-    [~hosts] entry point maps to. *)
+(** One region ["r0"] holding the whole fleet — the shape an integer
+    host count maps to. *)
 
 val validate : t -> (t, Hypertp_error.t) result
 (** At least one region; names non-empty, unique, free of [' '], [':'],

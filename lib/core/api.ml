@@ -65,9 +65,7 @@ let respond_to_cve ?ctx ?options ?rng ?fault ~host ~cve_id ~mode () =
       | `Apply ->
         `Applied (transplant_inplace ?ctx ?options ?rng ?fault ~host ~target ())
       | `Advise -> `Advised target)
-    (* Plain [advise] never returns [Wait_for_patch]; only the
-       cost-aware stream policy does. *)
-    | Cve.Window.Wait_for_patch | Cve.Window.No_action -> `No_action
+    | Cve.Window.No_action -> `No_action
     | Cve.Window.No_safe_alternative -> `No_safe_alternative
   in
   { advice; outcome }

@@ -32,7 +32,6 @@ let xen_stats () = stats_of (documented_windows Nvd.affects_xen)
 type advice =
   | No_action
   | Transplant_to of string
-  | Wait_for_patch
   | No_safe_alternative
 
 let affects_name (r : Nvd.record) = function
@@ -65,29 +64,6 @@ let advise ~fleet ~current (r : Nvd.record) =
 
 let affected r hv = affects_name r hv
 
-(* The wait-vs-transplant crossover: waiting exposes the fleet for the
-   whole patch delay, transplanting costs the campaign itself (queueing,
-   wall-clock, downtime) expressed in the same host-hours currency.
-   Waiting wins exactly when the weighted delay does not exceed the
-   transplant cost. *)
-let transplant_break_even_days ~transplant_cost_hours ~risk_weight =
-  if transplant_cost_hours < 0.0 then
-    invalid_arg "Window.transplant_break_even_days: negative cost";
-  if risk_weight <= 0.0 then
-    invalid_arg "Window.transplant_break_even_days: risk weight must be positive";
-  transplant_cost_hours /. (24.0 *. risk_weight)
-
-let advise_costed ~fleet ~current ~transplant_cost_hours ?(risk_weight = 1.0)
-    (t : Nvd.timed) =
-  let break_even =
-    transplant_break_even_days ~transplant_cost_hours ~risk_weight
-  in
-  match advise ~fleet ~current t.Nvd.body with
-  | (No_action | No_safe_alternative | Wait_for_patch) as a -> a
-  | Transplant_to hv ->
-    if t.Nvd.patch_delay_days <= break_even then Wait_for_patch
-    else Transplant_to hv
-
 (* Patch-availability delays for synthetic streams, drawn from the
    documented window statistics: a coordinated-disclosure mass (the
    patch ships with the advisory, as with most XSAs) plus the Red Hat
@@ -119,7 +95,7 @@ let transplants_needed_per_year ~fleet ~current =
                &&
                match advise ~fleet ~current r with
                | Transplant_to _ -> true
-               | No_action | Wait_for_patch | No_safe_alternative -> false)
+               | No_action | No_safe_alternative -> false)
              Nvd.all)
       in
       (year, n))
@@ -133,5 +109,4 @@ let pp_stats fmt s =
 let pp_advice fmt = function
   | No_action -> Format.pp_print_string fmt "no action needed"
   | Transplant_to hv -> Format.fprintf fmt "transplant to %s" hv
-  | Wait_for_patch -> Format.pp_print_string fmt "wait for the patch"
   | No_safe_alternative -> Format.pp_print_string fmt "no safe alternative"

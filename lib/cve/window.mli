@@ -22,10 +22,6 @@ val xen_stats : unit -> stats
 type advice =
   | No_action            (** severity below the transplant threshold *)
   | Transplant_to of string  (** a safe alternate hypervisor exists *)
-  | Wait_for_patch
-      (** a safe alternative exists, but the expected patch delay
-          undercuts the transplant cost — only {!advise_costed} returns
-          this; plain {!advise} never does *)
   | No_safe_alternative  (** every hypervisor in the fleet is affected *)
 
 val advise : fleet:string list -> current:string -> Nvd.record -> advice
@@ -37,28 +33,6 @@ val affected : Nvd.record -> string -> bool
 (** Whether the record affects the named hypervisor ("xen" / "kvm" /
     "bhyve" — bhyve shares neither studied codebase, so it is never
     affected).  Raises [Invalid_argument] on an unknown name. *)
-
-(** {1 Cost-aware advice}
-
-    {!advise} answers "is there somewhere safe to go"; operating a live
-    fleet also asks "is going there worth it".  When the patch is
-    expected before a transplant campaign could pay for itself, waiting
-    exposed is the cheaper mitigation. *)
-
-val transplant_break_even_days :
-  transplant_cost_hours:float -> risk_weight:float -> float
-(** The patch-delay crossover: waiting is preferred when the expected
-    delay (days) is at most [transplant_cost_hours / (24 x risk_weight)].
-    [risk_weight] scales exposed host-hours into the cost currency
-    (e.g. CVSS score / 10).  Raises [Invalid_argument] on a negative
-    cost or non-positive weight. *)
-
-val advise_costed :
-  fleet:string list -> current:string -> transplant_cost_hours:float ->
-  ?risk_weight:float -> Nvd.timed -> advice
-(** {!advise}, refined by the crossover: a {!Transplant_to} verdict
-    becomes {!Wait_for_patch} when the record's expected patch delay is
-    at or below the break-even point.  [risk_weight] defaults to 1. *)
 
 val empirical_windows : unit -> int list
 (** The documented vulnerability windows (days) the synthetic streams

@@ -101,31 +101,12 @@ let pre_pnr = function
   | Ctl_partition | Crash_during_resume | Cve_burst | Campaign_preempt ->
     false
 
-(* Every shadow-protocol site fires strictly before the identity swap:
-   aborting there must leave the source untouched and running. *)
-let shadow_pre_swap = function
-  | Shadow_stage_fail | Shadow_stream_drop | Shadow_diverge | Swap_partition
-  | Spare_exhausted ->
-    true
-  | Pram_build | Uisr_encode | Uisr_decode | Uisr_corrupt | Pram_corrupt
-  | Kexec_load | Kexec_jump | Vm_restore | Mgmt_rebuild | Residual_leak
-  | Scrub_fail | Migration_link_drop | Migration_link_degrade | Host_crash
-  | Host_timeout | Host_flap | Controller_crash | Subctl_crash | Root_crash
-  | Ctl_partition | Crash_during_resume | Cve_burst | Campaign_preempt ->
-    false
-
 type trigger =
   | Nth_hit of int
   | On_vm of string
   | Probability of float
 
 type injection = { site : site; trigger : trigger }
-
-let pp_injection fmt { site; trigger } =
-  match trigger with
-  | Nth_hit n -> Format.fprintf fmt "%a:%d" pp_site site n
-  | On_vm vm -> Format.fprintf fmt "%a:vm=%s" pp_site site vm
-  | Probability p -> Format.fprintf fmt "%a:p=%g" pp_site site p
 
 type event = {
   ev_site : site;
@@ -170,7 +151,6 @@ let make ?(seed = default_seed) injections =
     fired = 0;
   }
 
-let none () = make []
 let restart t = make ~seed:t.plan_seed t.plan_injections
 let injections t = t.plan_injections
 let seed t = t.plan_seed

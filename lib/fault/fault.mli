@@ -13,8 +13,8 @@
     each hit consumes exactly one draw regardless of the outcome, two
     plans with the same seed and hit sequence but probabilities
     [p <= p'] fire on a {e subset} of the hits — failure campaigns are
-    ordered, which is what makes `Cluster.Upgrade.sweep_faulty`'s
-    wall-clock monotone in the failure probability. *)
+    ordered, which is what nests [Cluster.Campaign.sweep]'s failing
+    hosts across failure probabilities. *)
 
 type site =
   | Pram_build
@@ -101,12 +101,10 @@ val shadow_sites : site list
     engine. *)
 
 val cluster_sites : site list
-(** Sites consulted by the cluster-level executors — the per-host
-    fallback of [Cluster.Upgrade.execute_faulty] ([Host_crash]) and the
-    supervised campaign controller ([Host_crash], [Host_timeout],
-    [Host_flap], [Controller_crash]).  [Host_crash] appears in both
-    lists: the InPlaceTP engine also consults it for the
-    crash-in-vulnerable-window reboot path. *)
+(** Sites consulted by the supervised campaign controller
+    ([Host_crash], [Host_timeout], [Host_flap], [Controller_crash]).
+    [Host_crash] also appears in {!engine_sites}: the InPlaceTP engine
+    consults it for the crash-in-vulnerable-window reboot path. *)
 
 val controlplane_sites : site list
 (** Sites consulted by the replicated hierarchical control plane
@@ -131,11 +129,6 @@ val pp_site : Format.formatter -> site -> unit
     anything else demands recovery on the target side. *)
 val pre_pnr : site -> bool
 
-val shadow_pre_swap : site -> bool
-(** Whether the site fires strictly before the shadow-host identity
-    swap.  True exactly for {!shadow_sites}: the abort-safety invariant
-    (source untouched and running) must hold at every one of them. *)
-
 val nearest_site : string -> string
 (** The valid site name closest (Levenshtein) to the given string —
     used by the parse errors to suggest a correction for typos like
@@ -147,8 +140,6 @@ type trigger =
   | Probability of float  (** fire per-hit with probability in [0,1] *)
 
 type injection = { site : site; trigger : trigger }
-
-val pp_injection : Format.formatter -> injection -> unit
 
 type event = {
   ev_site : site;
@@ -164,10 +155,6 @@ val make : ?seed:int64 -> injection list -> t
     the probability stream.  Raises [Hypertp_error.Error] (site
     ["Fault.make"]) on a non-positive [Nth_hit] or a probability
     outside [0, 1]. *)
-
-val none : unit -> t
-(** A plan with no injections: every [fire] returns false (but is still
-    traced). *)
 
 val restart : t -> t
 (** A fresh plan with the same injections and seed: counters, trace and

@@ -278,14 +278,6 @@ let expendable t preserve frame =
   (not (Hashtbl.mem t.reserved frame))
   && not (Frame.Extents.mem preserve (Frame.Mfn.of_int frame))
 
-let wipe_unpreserved t ~preserve =
-  let victims = ref [] in
-  Hashtbl.iter
-    (fun frame _ -> if expendable t preserve frame then victims := frame :: !victims)
-    t.contents;
-  List.iter (unset_frame t.contents t.ntagged) !victims;
-  List.length !victims
-
 let reboot_reset t ~preserve =
   let reclaimed = ref 0 in
   (* Full chunks: one extent-set query and the reserved count classify

@@ -60,8 +60,7 @@ val free_extent : t -> Frame.Mfn.t -> int -> unit
 
 val reserve_extent : t -> Frame.Mfn.t -> int -> unit
 (** Mark an allocated extent as reserved (kexec image, PRAM metadata):
-    reserved frames survive {!wipe_unpreserved} and {!reboot_reset} and
-    cannot be freed until
+    reserved frames survive {!reboot_reset} and cannot be freed until
     {!unreserve_extent}. *)
 
 val unreserve_extent : t -> Frame.Mfn.t -> int -> unit
@@ -73,11 +72,6 @@ val write : t -> Frame.Mfn.t -> int64 -> unit
 
 val read : t -> Frame.Mfn.t -> int64 option
 (** Content tag, if one was ever written. *)
-
-val wipe_unpreserved : t -> preserve:Frame.Extents.t -> int
-(** Simulate a reboot scrubbing memory: clear the content tag of every
-    allocated frame that is neither in [preserve] nor reserved.  Returns
-    the number of frames wiped. *)
 
 val reboot_reset : t -> preserve:Frame.Extents.t -> int
 (** What a kexec actually does to memory: every allocated frame that is

@@ -45,7 +45,7 @@ let pp_action fmt a = Format.pp_print_string fmt (action_to_string a)
 
 let decide kind ~advice ~transplant_hh ~wait_hh =
   match (advice, kind) with
-  | (Cve.Window.No_action | Cve.Window.Wait_for_patch), _ -> Wait
+  | Cve.Window.No_action, _ -> Wait
   | Cve.Window.No_safe_alternative, _ -> Defer
   | Cve.Window.Transplant_to _, Defer_all -> Defer
   | Cve.Window.Transplant_to hv, Transplant_all -> Transplant hv

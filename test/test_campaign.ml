@@ -210,6 +210,30 @@ let test_sweep_monotone_serial () =
         r.C.vms_total (C.vms_accounted r))
     sweep
 
+let test_sweep_failed_hosts_nested () =
+  (* Same seed: the hosts whose in-place attempt failed at p are a
+     subset of those at p' > p. *)
+  let failed_inplace (r : C.report) =
+    List.filter_map
+      (fun h ->
+        if
+          List.exists
+            (function
+              | _, C.Attempt_failed { step = C.Inplace; _ } -> true
+              | _ -> false)
+            h.C.hr_timeline
+        then Some h.C.hr_node
+        else None)
+      r.C.hosts
+  in
+  match C.sweep ~probabilities:[ 0.3; 0.8 ] () with
+  | [ (_, lo); (_, hi) ] ->
+    let lo = failed_inplace lo and hi = failed_inplace hi in
+    checkb "nested failure sets" true
+      (List.for_all (fun n -> List.mem n hi) lo);
+    checkb "strictly more failures" true (List.length hi > List.length lo)
+  | _ -> Alcotest.fail "expected two sweep points"
+
 (* --- Checkpoint / resume --- *)
 
 let base_injections p =
@@ -318,6 +342,8 @@ let suites =
       [
         Alcotest.test_case "trips pinned" `Quick test_breaker_pinned;
         Alcotest.test_case "serial sweep monotone" `Quick test_sweep_monotone_serial;
+        Alcotest.test_case "failed hosts nested across p" `Quick
+          test_sweep_failed_hosts_nested;
       ] );
     ( "campaign.journal",
       [

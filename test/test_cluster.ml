@@ -331,8 +331,10 @@ let test_libvirt_survives_transplant () =
 (* --- Fleet timeline --- *)
 
 let test_fleet_timeline () =
-  let o = Cluster.Fleet.simulate ~hosts:3 ~vms_per_host:2 ~window_days:2
-      ~cve_id:"CVE-2016-6258" ()
+  let o =
+    Cluster.Fleet.simulate
+      ~topology:(Cluster.Topology.flat ~hosts:3 ~vms_per_host:2)
+      ~window_days:2 ~cve_id:"CVE-2016-6258" ()
   in
   checki "two transplants per host" 6 o.Cluster.Fleet.transplants;
   checkb "exposure tiny vs baseline" true
@@ -454,6 +456,19 @@ let test_fleet_rejects_medium () =
        false
      with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate")
 
+let test_fleet_rejects_empty_topology () =
+  (* The shape is validated first: an empty flat fleet ends in the
+     topology's structured error, not an empty timeline or a -nan%
+     exposure ratio. *)
+  checkb "0 hosts: topology error" true
+    (try
+       ignore
+         (Cluster.Fleet.simulate
+            ~topology:(Cluster.Topology.flat ~hosts:0 ~vms_per_host:4)
+            ~cve_id:"CVE-2016-6258" ());
+       false
+     with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Topology")
+
 let suites =
   [
     ( "cluster.model",
@@ -507,5 +522,7 @@ let suites =
         Alcotest.test_case "stagger scales exposure" `Quick
           test_fleet_stagger_scales_exposure;
         Alcotest.test_case "medium flaws rejected" `Quick test_fleet_rejects_medium;
+        Alcotest.test_case "empty topology rejected" `Quick
+          test_fleet_rejects_empty_topology;
       ] );
   ]

@@ -128,7 +128,8 @@ let test_fleet_incremental_exposure_qcheck () =
   in
   let prop (hosts, (vms_per_host, stagger_s)) =
     let o =
-      Cluster.Fleet.simulate ~hosts ~vms_per_host
+      Cluster.Fleet.simulate
+        ~topology:(Cluster.Topology.flat ~hosts ~vms_per_host)
         ~stagger:(Sim.Time.sec stagger_s) ~cve_id:"CVE-2016-6258" ()
     in
     let integral = fleet_integral o in

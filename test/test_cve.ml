@@ -167,48 +167,6 @@ let test_advice () =
   checkb "medium: no transplant" true
     (Cve.Window.advise ~fleet ~current:"xen" medium = Cve.Window.No_action)
 
-(* Cost-aware advice: the wait-vs-transplant crossover.  With a 48
-   host-hour campaign and unit risk weight the break-even sits at
-   exactly 2 days of patch delay. *)
-let test_costed_crossover () =
-  let fleet = [ "xen"; "kvm"; "bhyve" ] in
-  checkf "48h cost, unit weight" 2.0
-    (Cve.Window.transplant_break_even_days ~transplant_cost_hours:48.0
-       ~risk_weight:1.0);
-  checkf "doubling the risk halves the break-even" 1.0
-    (Cve.Window.transplant_break_even_days ~transplant_cost_hours:48.0
-       ~risk_weight:2.0);
-  (match
-     Cve.Window.transplant_break_even_days ~transplant_cost_hours:(-1.0)
-       ~risk_weight:1.0
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative cost must be rejected");
-  let xen_only = Option.get (Cve.Nvd.find "CVE-2016-6258") in
-  let costed delay =
-    Cve.Window.advise_costed ~fleet ~current:"xen" ~transplant_cost_hours:48.0
-      (Cve.Nvd.timed ~patch_delay_days:delay xen_only)
-  in
-  checkb "at the break-even the patch wins" true
-    (costed 2.0 = Cve.Window.Wait_for_patch);
-  checkb "just past it the transplant wins" true
-    (costed 2.001 = Cve.Window.Transplant_to "kvm");
-  checkb "a coordinated same-week patch always wins" true
-    (costed 0.5 = Cve.Window.Wait_for_patch);
-  (* The crossover only refines a Transplant_to verdict. *)
-  let medium = Option.get (Cve.Nvd.find "CVE-2015-8104") in
-  checkb "medium stays no-action" true
-    (Cve.Window.advise_costed ~fleet ~current:"xen"
-       ~transplant_cost_hours:1000.0
-       (Cve.Nvd.timed ~patch_delay_days:100.0 medium)
-    = Cve.Window.No_action);
-  (* Raising the risk weight pulls the break-even below the delay. *)
-  checkb "risk weight flips the verdict" true
-    (Cve.Window.advise_costed ~fleet ~current:"xen" ~transplant_cost_hours:48.0
-       ~risk_weight:2.0
-       (Cve.Nvd.timed ~patch_delay_days:1.5 xen_only)
-    = Cve.Window.Transplant_to "kvm")
-
 let test_patch_delay_sampler () =
   let rng = Sim.Rng.create 11L in
   for _ = 1 to 200 do
@@ -319,7 +277,6 @@ let suites =
       [
         Alcotest.test_case "kvm window stats" `Quick test_kvm_window_stats;
         Alcotest.test_case "transplant advice" `Quick test_advice;
-        Alcotest.test_case "cost-aware crossover" `Quick test_costed_crossover;
         Alcotest.test_case "patch-delay sampler" `Quick test_patch_delay_sampler;
         Alcotest.test_case "attack-surface taxonomy" `Quick test_taxonomy;
         Alcotest.test_case "hardware-level flaws (Spectre/Meltdown)" `Quick

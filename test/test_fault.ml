@@ -387,57 +387,6 @@ let test_aborted_wire_bytes_include_overhead () =
   checki "framing included (divisible by page+overhead)" 0
     (v.Hypertp.Migrate.wire_bytes mod per_page)
 
-(* --- cluster: fallback + sweep --- *)
-
-let test_sweep_faulty_monotone_and_accounted () =
-  let sweep =
-    Cluster.Upgrade.sweep_faulty ~probabilities:[ 0.0; 0.25; 0.5; 1.0 ] ()
-  in
-  let totals =
-    List.map
-      (fun (_, (t : Cluster.Upgrade.faulty_timing)) ->
-        Sim.Time.to_sec_f t.Cluster.Upgrade.total_with_faults)
-      sweep
-  in
-  let rec strictly_increasing = function
-    | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
-    | [ _ ] | [] -> true
-  in
-  checkb "wall-clock strictly increasing" true (strictly_increasing totals);
-  List.iter
-    (fun (p, (t : Cluster.Upgrade.faulty_timing)) ->
-      checki
-        (Printf.sprintf "all VMs accounted at p=%.2f" p)
-        t.Cluster.Upgrade.base.Cluster.Upgrade.inplace_vm_count
-        (Cluster.Upgrade.vms_accounted t))
-    sweep;
-  (match sweep with
-  | (_, t0) :: _ ->
-    checki "no failures at p=0" 0 (List.length t0.Cluster.Upgrade.failures)
-  | [] -> Alcotest.fail "empty sweep");
-  (match List.rev sweep with
-  | (_, t1) :: _ ->
-    checki "every host fails at p=1" 10
-      (List.length t1.Cluster.Upgrade.failures)
-  | [] -> assert false)
-
-let test_sweep_faulty_failed_hosts_nested () =
-  (* Same seed: the hosts failing at p are a subset of those at p'>p. *)
-  let sweep = Cluster.Upgrade.sweep_faulty ~probabilities:[ 0.3; 0.8 ] () in
-  match sweep with
-  | [ (_, lo); (_, hi) ] ->
-    let nodes (t : Cluster.Upgrade.faulty_timing) =
-      List.map
-        (fun (f : Cluster.Upgrade.host_failure) ->
-          f.Cluster.Upgrade.failed_node)
-        t.Cluster.Upgrade.failures
-    in
-    checkb "nested failure sets" true
-      (List.for_all (fun n -> List.mem n (nodes hi)) (nodes lo));
-    checkb "strictly more failures" true
-      (List.length (nodes hi) > List.length (nodes lo))
-  | _ -> Alcotest.fail "expected two sweep points"
-
 let suites =
   [
     ( "fault.plan",
@@ -479,12 +428,5 @@ let suites =
           test_migration_degrade_slows_but_completes;
         Alcotest.test_case "aborted wire bytes overhead" `Quick
           test_aborted_wire_bytes_include_overhead;
-      ] );
-    ( "fault.cluster",
-      [
-        Alcotest.test_case "sweep monotone, zero unaccounted" `Quick
-          test_sweep_faulty_monotone_and_accounted;
-        Alcotest.test_case "failed hosts nested across p" `Quick
-          test_sweep_faulty_failed_hosts_nested;
       ] );
   ]

@@ -134,28 +134,6 @@ let test_pmem_reserve_protects () =
   Hw.Pmem.free_extent p start len;
   checkb "freed after unreserve" false (Hw.Pmem.is_allocated p start)
 
-let test_pmem_wipe_semantics () =
-  let p = mk_pmem () in
-  let keep = Hw.Pmem.alloc_frames p 5 in
-  let lose = Hw.Pmem.alloc_frames p 5 in
-  List.iter (fun m -> Hw.Pmem.write p m 1L) keep;
-  List.iter (fun m -> Hw.Pmem.write p m 2L) lose;
-  let wiped =
-    Hw.Pmem.wipe_unpreserved p
-      ~preserve:(Hw.Frame.Extents.of_extents (List.map (fun m -> (m, 1)) keep))
-  in
-  checki "wiped count" 5 wiped;
-  List.iter
-    (fun m ->
-      Alcotest.check (Alcotest.option Alcotest.int64) "kept" (Some 1L)
-        (Hw.Pmem.read p m))
-    keep;
-  List.iter
-    (fun m ->
-      Alcotest.check (Alcotest.option Alcotest.int64) "gone" None
-        (Hw.Pmem.read p m))
-    lose
-
 let test_pmem_reboot_reset () =
   let p = mk_pmem () in
   let preserved = Hw.Pmem.alloc_frames p 8 in
@@ -452,7 +430,6 @@ let suites =
         Alcotest.test_case "unallocated write rejected" `Quick
           test_pmem_write_unallocated;
         Alcotest.test_case "reservation protects" `Quick test_pmem_reserve_protects;
-        Alcotest.test_case "wipe honours preserve" `Quick test_pmem_wipe_semantics;
         Alcotest.test_case "reboot reset reclaims" `Quick test_pmem_reboot_reset;
         qtest prop_pmem_alloc_free_idempotent;
         qtest prop_pmem_random_ops;
