@@ -10,8 +10,6 @@ type plan = {
   inplace_vm_count : int;
 }
 
-exception No_capacity of string
-
 (* Soft spread constraint: the planner avoids piling more than
    vms_per_node + 2 VMs on one node while a neighbour drains. *)
 let soft_cap model =
@@ -76,7 +74,10 @@ let plan_upgrade ?(group_size = 1) model =
     List.iter
       (fun vm ->
         match pick_destination model ~cap ~excluding:group vm with
-        | None -> raise (No_capacity vm.Model.vm_name)
+        | None ->
+          Hypertp_error.raise_errorf ~site:"Btrplace"
+            ~hint:"add nodes or raise the in-place fraction"
+            "no online node can take evicted VM %s" vm.Model.vm_name
         | Some dst ->
           Model.evict node vm;
           Model.place dst vm;

@@ -19,12 +19,11 @@ type plan = {
   inplace_vm_count : int; (** VMs upgraded without moving *)
 }
 
-exception No_capacity of string
-
 val plan_upgrade : ?group_size:int -> Model.t -> plan
 (** Generate and {e apply} the rolling-upgrade plan on the model (the
-    model ends fully upgraded and rebalanced).  Raises {!No_capacity}
-    if evicted VMs cannot be placed anywhere.  Default group size 1. *)
+    model ends fully upgraded and rebalanced).  Raises [Hypertp.Error.Error]
+    (site ["Btrplace"], naming the VM) if an evicted VM cannot be placed
+    anywhere.  Default group size 1. *)
 
 val capacity_safe : Model.t -> bool
 (** No node over capacity, every VM placed exactly once. *)
@@ -91,6 +90,6 @@ val max_concurrent_drains : Model.t -> int
     fallback path drains even InPlaceTP-compatible VMs, so each
     draining host is charged its full placement).  Always at least 1 —
     with no spare capacity at all the plan itself would have raised
-    {!No_capacity}. *)
+    (site ["Btrplace"]). *)
 
 val pp_plan : Format.formatter -> plan -> unit

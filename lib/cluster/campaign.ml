@@ -124,15 +124,21 @@ let validate_config cfg =
       cfg.vms_per_node max_vms;
   if cfg.vm_ram < 1 || cfg.node_ram < 1 then
     bad "vm_ram and node_ram must be positive";
-  if cfg.inplace_fraction < 0.0 || cfg.inplace_fraction > 1.0 then
+  if not (cfg.inplace_fraction >= 0.0 && cfg.inplace_fraction <= 1.0) then
     bad "inplace_fraction outside [0, 1]";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
+  if cfg.concurrency > max_nodes then
+    Hypertp_error.raise_errorf ~site:"Campaign"
+      "concurrency %d above the bound of %d" cfg.concurrency max_nodes;
   K.validate ~site:"Campaign" ~straggler_factor:cfg.straggler_factor
     ~breaker_window:cfg.breaker_window ~breaker_threshold:cfg.breaker_threshold
     ~jitter_pct:cfg.jitter_pct ~drain_flakiness:cfg.drain_flakiness;
-  if cfg.retry_flakiness < 0.0 || cfg.retry_flakiness > 1.0 then
+  if not (cfg.retry_flakiness >= 0.0 && cfg.retry_flakiness <= 1.0) then
     bad "retry_flakiness outside [0, 1]";
-  if cfg.shadow_spares < 0 then bad "shadow_spares must be non-negative"
+  if cfg.shadow_spares < 0 then bad "shadow_spares must be non-negative";
+  if cfg.shadow_spares > max_nodes then
+    Hypertp_error.raise_errorf ~site:"Campaign"
+      "shadow_spares %d above the bound of %d" cfg.shadow_spares max_nodes
 
 (* --- host tasks, derived once from the BtrPlace plan --- *)
 

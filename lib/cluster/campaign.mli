@@ -53,7 +53,8 @@ type config = {
   vm_ram : Hw.Units.bytes_;
   node_ram : Hw.Units.bytes_;
   inplace_fraction : float;
-  concurrency : int;  (** requested; clamped by spare capacity *)
+  concurrency : int;
+      (** requested, 1 to 1,000,000; clamped by spare capacity *)
   straggler_factor : float;  (** deadline = factor x expected; >= 1.2 *)
   breaker_window : int;  (** K: rolling window length *)
   breaker_threshold : float;  (** trip when failures/K >= threshold *)
@@ -63,7 +64,8 @@ type config = {
   retry_flakiness : float;  (** P(end-of-campaign retry fails) per host *)
   seed : int64;  (** feeds the derived per-host RNGs only *)
   shadow_spares : int;
-      (** staged spare lanes for the {!Shadow} ladder rung; [0]
+      (** staged spare lanes for the {!Shadow} ladder rung, at most
+          1,000,000; [0]
           (default) disables the rung entirely — campaigns and their
           journals are then byte-identical to pre-shadow runs *)
 }

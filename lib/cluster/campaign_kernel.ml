@@ -11,16 +11,22 @@ let max_jitter_pct = 0.1
 let validate ~site ~straggler_factor ~breaker_window ~breaker_threshold
     ~jitter_pct ~drain_flakiness =
   let bad msg = Hypertp_error.raise_error ~site msg in
-  if straggler_factor < min_straggler_factor then
-    bad "straggler_factor below 1.2 (deadline must dominate a flap)";
+  (* Negated range tests, so a NaN fails them too. *)
+  if
+    not
+      (straggler_factor >= min_straggler_factor
+      && Float.is_finite straggler_factor)
+  then
+    bad "straggler_factor below 1.2 or not finite (deadline must dominate a \
+         flap)";
   if breaker_window < 1 then bad "breaker_window must be at least 1";
   if breaker_window > 62 then
     bad "breaker_window above 62 (outcomes are tracked in one word)";
-  if breaker_threshold < 0.0 || breaker_threshold > 1.0 then
+  if not (breaker_threshold >= 0.0 && breaker_threshold <= 1.0) then
     bad "breaker_threshold outside [0, 1]";
-  if jitter_pct < 0.0 || jitter_pct > max_jitter_pct then
+  if not (jitter_pct >= 0.0 && jitter_pct <= max_jitter_pct) then
     bad "jitter_pct outside [0, 0.1] (success must beat the deadline)";
-  if drain_flakiness < 0.0 || drain_flakiness > 1.0 then
+  if not (drain_flakiness >= 0.0 && drain_flakiness <= 1.0) then
     bad "drain_flakiness outside [0, 1]"
 
 type manifestation = Crash | Timeout | Flap

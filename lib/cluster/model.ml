@@ -19,13 +19,14 @@ type t = { nodes : node list }
 
 let make ?(seed = 0xC1D2L) ~nodes ~vms_per_node ~vm_ram ~node_ram
     ~inplace_fraction ~workload_mix () =
+  let bad fmt = Hypertp_error.raise_errorf ~site:"Model" fmt in
   if nodes <= 0 || vms_per_node <= 0 then
-    invalid_arg "Model.make: non-positive sizes";
-  if inplace_fraction < 0.0 || inplace_fraction > 1.0 then
-    invalid_arg "Model.make: fraction out of range";
+    bad "non-positive sizes (%d nodes x %d VMs per node)" nodes vms_per_node;
+  if not (inplace_fraction >= 0.0 && inplace_fraction <= 1.0) then
+    bad "inplace fraction %g outside [0, 1]" inplace_fraction;
   let mix_total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 workload_mix in
-  if Float.abs (mix_total -. 1.0) > 1e-6 then
-    invalid_arg "Model.make: workload mix must sum to 1";
+  if not (Float.abs (mix_total -. 1.0) <= 1e-6) then
+    bad "workload mix sums to %g, not 1" mix_total;
   let rng = Sim.Rng.create seed in
   let total = nodes * vms_per_node in
   let n_inplace =

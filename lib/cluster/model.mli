@@ -38,7 +38,9 @@ val make :
 (** Build the paper's cluster: [nodes] hosts each holding
     [vms_per_node] VMs; [inplace_fraction] of all VMs tolerate a few
     seconds of downtime; workloads are drawn from the mix (fractions
-    must sum to 1). *)
+    must sum to 1).  Raises [Hypertp.Error.Error] (site ["Model"]) on
+    non-positive sizes, a fraction outside [0, 1] or a mix that does
+    not sum to 1. *)
 
 val used_ram : node -> Hw.Units.bytes_
 val free_ram : node -> Hw.Units.bytes_

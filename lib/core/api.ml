@@ -6,7 +6,17 @@ let hypervisor_of = function
 let provision ?seed ~name ~machine ~hv configs =
   let host = Hv.Host.create ?seed ~name machine in
   Hv.Host.boot_hypervisor host (hypervisor_of hv);
-  List.iter (fun config -> ignore (Hv.Host.create_vm host config)) configs;
+  List.iter
+    (fun (config : Vmstate.Vm.config) ->
+      try ignore (Hv.Host.create_vm host config)
+      with Hw.Pmem.Out_of_memory ->
+        Error.raise_errorf ~site:"Api.provision"
+          ~hint:"provision fewer or smaller VMs, or a larger machine"
+          "%d VMs of %a RAM each do not fit on machine %s (out of memory at \
+           %s)"
+          (List.length configs) Hw.Units.pp_bytes config.ram
+          machine.Hw.Machine.name config.name)
+    configs;
   host
 
 type outcome =

@@ -7,7 +7,9 @@ val hypervisor_of : Hv.Kind.t -> (module Hv.Intf.S)
 val provision :
   ?seed:int64 -> name:string -> machine:Hw.Machine.t -> hv:Hv.Kind.t ->
   Vmstate.Vm.config list -> Hv.Host.t
-(** Boot a host with the given hypervisor and create its VMs. *)
+(** Boot a host with the given hypervisor and create its VMs.  Raises
+    [Error.Error] (site ["Api.provision"]) when the VMs do not fit in
+    the machine's memory. *)
 
 type outcome =
   [ `Applied of Inplace.report

@@ -97,24 +97,33 @@ let site = "Stream.Service"
 let max_years = 100.0
 let max_rate_per_year = 10_000.0
 
+(* Range tests are negated so that a NaN fails them too. *)
 let validate cfg =
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
-  if cfg.years <= 0.0 then bad "years must be positive";
+  let within lo hi x = x >= lo && x <= hi in
+  if not (cfg.years > 0.0) then bad "years must be positive";
   if cfg.years > max_years then
     bad "years %g above the bound of %g" cfg.years max_years;
   if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
-  if cfg.rate_per_year <= 0.0 then bad "rate_per_year must be positive";
+  if not (cfg.rate_per_year > 0.0) then bad "rate_per_year must be positive";
   if cfg.rate_per_year > max_rate_per_year then
     bad "rate_per_year %g above the bound of %g" cfg.rate_per_year
       max_rate_per_year;
-  if cfg.tempo <= 0.0 then bad "tempo must be positive";
+  if not (cfg.tempo > 0.0 && Float.is_finite cfg.tempo) then
+    bad "tempo must be positive and finite";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
-  if cfg.batch_days <= 0.0 then bad "batch_days must be positive";
-  if cfg.inplace_fraction < 0.0 || cfg.inplace_fraction > 1.0 then
+  (* The admission tick must be a whole number of nanoseconds, at most
+     the longest horizon. *)
+  let max_batch_days = max_years *. 365.0 in
+  if not (cfg.batch_days > 0.0 && cfg.batch_days <= max_batch_days) then
+    bad "batch_days outside (0, %g]" max_batch_days;
+  if Sim.Time.(equal (of_sec_f (cfg.batch_days *. 86400.0)) zero) then
+    bad "batch_days below one nanosecond";
+  if not (within 0.0 1.0 cfg.inplace_fraction) then
     bad "inplace_fraction outside [0, 1]";
-  if cfg.critical_fraction < 0.0 || cfg.critical_fraction > 1.0 then
+  if not (within 0.0 1.0 cfg.critical_fraction) then
     bad "critical_fraction outside [0, 1]";
-  if cfg.coordinated_fraction < 0.0 || cfg.coordinated_fraction > 1.0 then
+  if not (within 0.0 1.0 cfg.coordinated_fraction) then
     bad "coordinated_fraction outside [0, 1]";
   List.iter
     (fun n ->

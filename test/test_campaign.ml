@@ -87,7 +87,27 @@ let test_config_validation () =
   bad "straggler factor below floor"
     { C.default_config with C.straggler_factor = 1.0 };
   bad "jitter above cap" { C.default_config with C.jitter_pct = 0.5 };
-  bad "threshold above 1" { C.default_config with C.breaker_threshold = 1.5 }
+  bad "threshold above 1" { C.default_config with C.breaker_threshold = 1.5 };
+  bad "NaN straggler factor"
+    { C.default_config with C.straggler_factor = Float.nan };
+  bad "NaN threshold" { C.default_config with C.breaker_threshold = Float.nan };
+  bad "concurrency above the bound"
+    { C.default_config with C.concurrency = 1_000_001 };
+  bad "shadow spares above the bound"
+    { C.default_config with C.shadow_spares = 1_000_001 };
+  (* A journal header over the bound is refused at decode time. *)
+  let text =
+    match C.run C.default_config with
+    | C.Finished (_, j) | C.Crashed j -> C.journal_to_string j
+  in
+  let inflated =
+    String.split_on_char ' ' text
+    |> List.map (function "concurrency=4" -> "concurrency=1000001" | t -> t)
+    |> String.concat " "
+  in
+  checkb "header carries concurrency=4" false (String.equal text inflated);
+  checkb "journal with concurrency above the bound is rejected" true
+    (Result.is_error (C.journal_of_string inflated))
 
 (* --- Degradation ladder --- *)
 

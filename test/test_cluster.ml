@@ -61,6 +61,25 @@ let test_model_workload_mix () =
   checki "30% streaming" 30 (count Vmstate.Vm.Wl_streaming);
   checki "40% idle" 40 (count Vmstate.Vm.Wl_idle)
 
+let test_model_rejects_bad_input () =
+  let rejects msg f =
+    checkb msg true
+      (try
+         ignore (f ());
+         false
+       with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Model")
+  in
+  let make ?(nodes = 10) ?(vms_per_node = 10) ?(inplace_fraction = 0.5)
+      ?(workload_mix = [ (Vmstate.Vm.Wl_idle, 1.0) ]) () =
+    Cluster.Model.make ~nodes ~vms_per_node ~vm_ram:(Hw.Units.gib 4)
+      ~node_ram:(Hw.Units.gib 96) ~inplace_fraction ~workload_mix ()
+  in
+  rejects "zero nodes" (make ~nodes:0);
+  rejects "negative VMs per node" (make ~vms_per_node:(-1));
+  rejects "fraction above 1" (make ~inplace_fraction:2.0);
+  rejects "NaN fraction" (make ~inplace_fraction:Float.nan);
+  rejects "mix short of 1" (make ~workload_mix:[ (Vmstate.Vm.Wl_idle, 0.5) ])
+
 (* --- Btrplace --- *)
 
 let test_plan_all_upgraded () =
@@ -113,7 +132,7 @@ let test_plan_rejects_overfull () =
     (try
        ignore (Cluster.Btrplace.plan_upgrade m);
        false
-     with Cluster.Btrplace.No_capacity _ -> true)
+     with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Btrplace")
 
 (* --- Upgrade timing --- *)
 
@@ -477,6 +496,8 @@ let suites =
         Alcotest.test_case "inplace fraction" `Quick test_model_inplace_fraction;
         Alcotest.test_case "capacity ops" `Quick test_model_capacity;
         Alcotest.test_case "workload mix" `Quick test_model_workload_mix;
+        Alcotest.test_case "bad input rejected" `Quick
+          test_model_rejects_bad_input;
       ] );
     ( "cluster.btrplace",
       [

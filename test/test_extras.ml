@@ -99,7 +99,7 @@ let test_plan_group_sizes () =
     (try
        ignore (Cluster.Btrplace.plan_upgrade ~group_size:5 (paper_model ()));
        false
-     with Cluster.Btrplace.No_capacity _ -> true)
+     with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Btrplace")
 
 (* --- Nova boot onto explicit host --- *)
 

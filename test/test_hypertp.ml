@@ -514,6 +514,26 @@ let test_api_unknown_cve () =
        && e.Hypertp.Error.reason = "unknown CVE CVE-1999-0001"
        && e.Hypertp.Error.hint <> None)
 
+(* M1 fits 15 one-GiB guests; the 16th must surface as a structured
+   error naming the count, the per-VM RAM and the machine. *)
+let test_api_provision_out_of_memory () =
+  let vms =
+    List.init 16 (fun i ->
+        Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i)
+          ~ram:(Hw.Units.gib 1) ())
+  in
+  checkb "overfull host raises a structured error" true
+    (try
+       ignore
+         (Hypertp.Api.provision ~name:"full" ~machine:(Hw.Machine.m1 ())
+            ~hv:Hv.Kind.Xen vms);
+       false
+     with Hypertp.Error.Error e ->
+       e.Hypertp.Error.site = "Api.provision"
+       && e.Hypertp.Error.reason
+          = "16 VMs of 1.0GiB RAM each do not fit on machine M1 (out of \
+             memory at vm15)")
+
 (* --- Snapshot --- *)
 
 let test_snapshot_roundtrip_bytes () =
@@ -631,6 +651,8 @@ let suites =
         Alcotest.test_case "advice only" `Quick test_api_respond_no_apply;
         Alcotest.test_case "common flaw" `Quick test_api_respond_common_flaw;
         Alcotest.test_case "unknown cve" `Quick test_api_unknown_cve;
+        Alcotest.test_case "provision out of memory" `Quick
+          test_api_provision_out_of_memory;
       ] );
     ( "hypertp.snapshot",
       [

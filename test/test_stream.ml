@@ -366,6 +366,9 @@ let test_service_validation () =
     };
   expect_error { small_config with Stream.Service.tempo = 0.0 };
   expect_error { small_config with Stream.Service.batch_days = -1.0 };
+  expect_error { small_config with Stream.Service.tempo = Float.nan };
+  expect_error { small_config with Stream.Service.years = Float.nan };
+  expect_error { small_config with Stream.Service.batch_days = 1e-300 };
   expect_error { small_config with Stream.Service.concurrency = 0 }
 
 let test_metrics_dashboard () =
